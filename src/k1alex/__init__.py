@@ -25,12 +25,8 @@ from .grouprings import (
     GroupError,
     MetaRep,
     OrbitClass,
-    aut_order,
-    gr_add,
-    gr_apply_aut,
     gr_inverse,
     gr_is_unit,
-    gr_mul,
     orbit_project,
 )
 from .k1core import (
@@ -50,10 +46,8 @@ from .novikov import (
     SeriesError,
     WittVector,
     log_series,
-    ns_add,
     ns_invert,
     ns_log,
-    ns_mul,
     witt_normalize,
 )
 from .presentation import (
@@ -87,8 +81,6 @@ from .words import (
     WordError,
     fox_derivative,
     gen,
-    invert,
-    multiply,
     reduce,
     substitute,
     word,

@@ -18,12 +18,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .cover import MetabelianRepError, metabelian_rep
-from .grouprings import GroupError, MetaRep, OrbitClass
+from .grouprings import GroupError, MetaRep
 from .k1core import K1Report, fibered_obstruction, k1_invariant
-from .novikov import DEFAULT_PRECISION, NovikovSeries
+from .novikov import DEFAULT_PRECISION
 from .presentation import (
     MeridianPresentation,
     ParseError,
@@ -46,33 +45,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _fraction_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
-def _orbit_class_str(oc: OrbitClass) -> str:
-    if oc.is_zero():
-        return "0"
-    parts = []
-    for e, c in sorted(oc.coeffs.items()):
-        parts.append(f"{_fraction_str(c)}*[{oc.group.element_str(e)}]")
-    return " + ".join(parts)
-
-
-def _series_str(s: NovikovSeries) -> str:
-    parts = []
-    for d in s.support():
-        c = s.coefficient(d)
-        if d == 0:
-            parts.append(f"({c})")
-        elif d == 1:
-            parts.append(f"({c})*tau")
-        else:
-            parts.append(f"({c})*tau^{d}")
-    body = " + ".join(parts) if parts else "0"
-    return f"{body} + O(tau^{s.top})"
 
 
 def _load_presentation(args) -> MeridianPresentation:
@@ -142,9 +114,9 @@ def cmd_compute(args) -> int:
         "metafinite_poly": str(poly),
     }
     if report.invertible == "yes":
-        payload["delta"] = _series_str(report.delta)
+        payload["delta"] = str(report.delta)
         payload["delta_unit"] = f"({report.unit_part})*tau^{report.degree}"
-        payload["logs"] = {str(k): _orbit_class_str(report.logs[k])
+        payload["logs"] = {str(k): str(report.logs[k])
                            for k in report.logs.degrees()}
     if args.format == "json":
         print(json.dumps(payload, indent=2))

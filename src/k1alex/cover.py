@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .grouprings import FiniteAbelianGroup, GroupAut, MetaRep
+from .grouprings import FiniteAbelianGroup, GroupAut, MetaRep, solve
 from .presentation import MeridianPresentation, validate_rep
 from .words import fox_derivative
 
@@ -78,20 +78,10 @@ class IntMatrix:
         n = self.nrows
         if n != self.ncols:
             raise ValueError("not square")
-        A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(self.rows)]
-        for c in range(n):
-            p = next((r for r in range(c, n) if A[r][c]), None)
-            if p is None:
-                raise ValueError("matrix is singular")
-            A[c], A[p] = A[p], A[c]
-            piv = A[c][c]
-            A[c] = [x / piv for x in A[c]]
-            for r in range(n):
-                if r != c and A[r][c]:
-                    f = A[r][c]
-                    A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-        out = [[A[i][n + j] for j in range(n)] for i in range(n)]
+        out = solve([[Fraction(x) for x in row] for row in self.rows],
+                    [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        if out is None:
+            raise ValueError("matrix is singular")
         if any(x.denominator != 1 for row in out for x in row):
             raise ValueError("matrix is not unimodular")
         return IntMatrix([[int(x) for x in row] for row in out])

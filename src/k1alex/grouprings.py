@@ -8,7 +8,9 @@ elements to exact rationals, i.e. an element of Q[H].
 
 Q[H] is semisimple, so invertibility is decidable by the rational regular
 representation: an element is a unit iff its |H| x |H| multiplication matrix
-over Q is nonsingular.  No cyclotomic arithmetic is used anywhere.
+over Q is nonsingular.  No cyclotomic arithmetic is used anywhere.  All exact
+linear algebra over Q in the library (inverses, ranks, unit tests) goes
+through :func:`echelon` and :func:`solve`.
 """
 
 from __future__ import annotations
@@ -152,9 +154,7 @@ class GroupAut:
         table = self._table(power)
         if table is not None:
             return table[e]
-        for _ in range(power):
-            e = self._apply_once(e)
-        return e
+        return self._apply_power(e, power)
 
     def _table(self, power: int) -> dict[Element, Element] | None:
         """Tabulated kappa^power (small groups only)."""
@@ -164,13 +164,13 @@ class GroupAut:
         if table is None:
             prev = self._perms.get(power - 1) if power > 1 else None
             if prev is None:
-                table = {e: self.apply_raw(e, power) for e in self.group.elements()}
+                table = {e: self._apply_power(e, power) for e in self.group.elements()}
             else:
                 table = {e: self._apply_once(v) for e, v in prev.items()}
             self._perms[power] = table
         return table
 
-    def apply_raw(self, e: Element, power: int) -> Element:
+    def _apply_power(self, e: Element, power: int) -> Element:
         for _ in range(power):
             e = self._apply_once(e)
         return e
@@ -340,24 +340,6 @@ class GroupAlgebraElem:
     __repr__ = __str__
 
 
-# Functional aliases; the class arithmetic above is the primary API.
-
-def gr_add(a: GroupAlgebraElem, b: GroupAlgebraElem) -> GroupAlgebraElem:
-    return a + b
-
-
-def gr_mul(a: GroupAlgebraElem, b: GroupAlgebraElem) -> GroupAlgebraElem:
-    return a * b
-
-
-def gr_apply_aut(kappa: GroupAut, a: GroupAlgebraElem) -> GroupAlgebraElem:
-    return a.apply_aut(kappa)
-
-
-def aut_order(kappa: GroupAut) -> int:
-    return kappa.order
-
-
 def regular_representation(a: GroupAlgebraElem) -> list[list[Fraction]]:
     """Matrix of left multiplication by ``a`` on Q[H] in the element basis."""
     els = list(a.group.elements())
@@ -370,22 +352,60 @@ def regular_representation(a: GroupAlgebraElem) -> list[list[Fraction]]:
     return M
 
 
-def _solve(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gaussian elimination; returns None if M is singular."""
-    n = len(M)
-    A = [row[:] + [rhs[i]] for i, row in enumerate(M)]
-    for c in range(n):
-        p = next((r for r in range(c, n) if A[r][c]), None)
+def echelon(A: list[list[Fraction]], ncols: int) -> list[int]:
+    """Forward Gaussian elimination over Q, in place; returns the pivot columns.
+
+    Pivots are searched in the first ``ncols`` columns only; row operations
+    act on whole rows, so columns past ``ncols`` carry augmented right-hand
+    sides along.  Afterwards row i leads at column ``pivots[i]`` and every
+    row past ``len(pivots)`` is zero in the first ``ncols`` columns, so the
+    rank is the number of pivots.  This is the only exact elimination loop
+    in the library.
+    """
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(A)) if A[i][c]), None)
         if p is None:
-            return None
-        A[c], A[p] = A[p], A[c]
-        piv = A[c][c]
-        A[c] = [x / piv for x in A[c]]
-        for r in range(n):
-            if r != c and A[r][c]:
-                f = A[r][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    return [A[i][n] for i in range(n)]
+            continue
+        A[r], A[p] = A[p], A[r]
+        row = A[r]
+        inv = 1 / row[c]
+        nonzero = [j for j in range(c, len(row)) if row[j]]
+        for i in range(r + 1, len(A)):
+            Ai = A[i]
+            if Ai[c]:
+                f = Ai[c] * inv
+                for j in nonzero:
+                    Ai[j] -= f * row[j]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def solve(M: Sequence[Sequence[Fraction]],
+          rhs_rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
+    """Exact solution X of M X = B for square M, or None if M is singular.
+
+    ``rhs_rows`` and the result are given by rows: row i of B is
+    ``rhs_rows[i]``.  Forward elimination by :func:`echelon`, then
+    back-substitution.
+    """
+    n = len(M)
+    A = [list(row) + list(b) for row, b in zip(M, rhs_rows)]
+    if len(echelon(A, n)) < n:
+        return None
+    X: list[list[Fraction]] = [[] for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        row = A[i]
+        acc = row[n:]
+        for j in range(i + 1, n):
+            if row[j]:
+                f = row[j]
+                acc = [a - f * x for a, x in zip(acc, X[j])]
+        inv = 1 / row[i]
+        X[i] = [a * inv for a in acc]
+    return X
 
 
 def gr_is_unit(a: GroupAlgebraElem) -> bool:
@@ -419,14 +439,12 @@ def gr_inverse(a: GroupAlgebraElem) -> GroupAlgebraElem | None:
     if key in _INVERSE_CACHE:
         return _INVERSE_CACHE[key]
     els = list(a.group.elements())
-    M = regular_representation(a)
-    rhs = [Fraction(0)] * len(els)
-    rhs[els.index(a.group.identity())] = Fraction(1)
-    x = _solve(M, rhs)
+    identity = a.group.identity()
+    x = solve(regular_representation(a), [[Fraction(int(e == identity))] for e in els])
     if x is None:
         result = None
     else:
-        result = GroupAlgebraElem(a.group, {e: x[i] for i, e in enumerate(els) if x[i]})
+        result = GroupAlgebraElem(a.group, {e: xe for e, (xe,) in zip(els, x) if xe})
     if len(_INVERSE_CACHE) < 4096:
         _INVERSE_CACHE[key] = result
     return result

@@ -277,11 +277,8 @@ def fibered_obstruction(p: MeridianPresentation, reps: Sequence[MetaRep],
     verdicts = []
     for rep in reps:
         mx = build_fox_matrix(p, rep, precision)
-        report = eliminate(mx, certify_singular=_upsilon_certifier)
-        if report.invertible == "yes":
+        if eliminate(mx).invertible == "yes":
             verdicts.append("invertible")
-        elif report.invertible == "no":
-            verdicts.append("not-invertible")
         else:
             verdicts.append("not-invertible" if _upsilon_certifier(mx)
                             else "indeterminate")

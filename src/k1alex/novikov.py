@@ -243,16 +243,6 @@ class WittVector(NovikovSeries):
         return cls(s.kappa, s.min_deg, s.coeffs, s.top)
 
 
-# -- functional aliases for the class arithmetic above ---------------------
-
-def ns_add(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
-    return a + b
-
-
-def ns_mul(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
-    return a * b
-
-
 def ns_invert(a: NovikovSeries) -> NovikovSeries:
     """Two-sided inverse to the available precision.
 

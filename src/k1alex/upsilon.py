@@ -15,7 +15,7 @@ polynomial, well defined up to unit monomials c * t^a * h.
 Q[H] has zero divisors, so the determinant uses a division-free minor
 expansion (memoized over column subsets, which also exploits the sparsity of
 the blocks); invertibility of a Laurent polynomial over Q[H]((t)) is decided
-exactly through the rational regular representation.
+exactly by a rank of rational regular representations.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .grouprings import (
     GroupAlgebraElem,
     GroupError,
     MetaRep,
+    echelon,
     gr_is_unit,
     regular_representation,
 )
@@ -289,60 +290,33 @@ def poly_equiv(p: LaurentPolyGA, q: LaurentPolyGA) -> bool:
 
 
 def is_unit_laurent(p: LaurentPolyGA) -> bool:
-    """Invertibility of p in Q[H]((t)), decided exactly.
+    """Invertibility of p in Q[H]((t)), decided exactly by a rank over Q.
 
-    Q[H] is semisimple, so Q[H]((t)) is a finite product of Laurent series
-    fields and p is a unit iff it is not a zero divisor, iff the determinant
-    of its regular representation over Q[t, t^-1] is not the zero polynomial.
-    The determinant is tested by evaluating at more rational points than its
-    degree bound, each evaluation an exact Gaussian elimination over Q.
+    Q[H] is semisimple and commutative, a finite product of fields K_i, so
+    Q[H]((t)) is the product of the Laurent series fields K_i((t)).  p is a
+    unit iff every component is nonzero, iff for every i some coefficient of
+    p is nonzero in K_i, iff the coefficients generate the unit ideal of
+    Q[H].  That holds iff no nonzero x in Q[H] is killed by all of them,
+    i.e. iff their regular representations, stacked, have rank |H|.
+
+    p(2) (after clearing t^lo) lies in that ideal, so when it is a unit of
+    Q[H] -- the usual case -- one |H| x |H| elimination decides; otherwise
+    the stacked coefficients are ranked.  At most two eliminations run.
     """
     if p.is_zero():
         return False
     if len(p.terms) == 1:
         ((_, coeff),) = p.terms.items()
         return gr_is_unit(coeff)
-    group = p.group
-    els = list(group.elements())
-    n = len(els)
+    n = p.group.order
     lo = p.min_degree()
-    span = p.max_degree() - lo
-    blocks = {d: regular_representation(c) for d, c in p.terms.items()}
-    # after clearing t^lo, det is a polynomial of degree <= n * span
-    points = [Fraction(k) for k in range(2, n * span + 4)]
-    for t0 in points:
-        M = [[Fraction(0)] * n for _ in range(n)]
-        for d, B in blocks.items():
-            w = t0 ** (d - lo)
-            for i in range(n):
-                row = B[i]
-                Mi = M[i]
-                for j in range(n):
-                    if row[j]:
-                        Mi[j] += row[j] * w
-        if _det_rational(M):
-            return True
-    return False
-
-
-def _det_rational(M: list[list[Fraction]]) -> Fraction:
-    n = len(M)
-    A = [row[:] for row in M]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if A[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det = -det
-        det *= A[c][c]
-        inv = 1 / A[c][c]
-        for r in range(c + 1, n):
-            if A[r][c]:
-                f = A[r][c] * inv
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    return det
+    at_two = GroupAlgebraElem.zero(p.group)
+    for d, c in p.terms.items():
+        at_two = at_two + c.scale(2 ** (d - lo))
+    if len(echelon(regular_representation(at_two), n)) == n:
+        return True
+    stacked = [row for c in p.terms.values() for row in regular_representation(c)]
+    return len(echelon(stacked, n)) == n
 
 
 def metafinite_polynomial(p: MeridianPresentation, rep: MetaRep,

@@ -120,14 +120,6 @@ def reduce(letters: Iterable[tuple[int, int]], rank: int | None = None) -> Word:
     return Word(_compress(letters))
 
 
-def multiply(a: Word, b: Word) -> Word:
-    return a * b
-
-
-def invert(w: Word) -> Word:
-    return w.inverse()
-
-
 class FreeRingElem:
     """Finitely supported integer combination of words (an element of Z[F])."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from k1alex import FiniteAbelianGroup, GroupAlgebraElem, GroupAut, Word, word
+from k1alex import FiniteAbelianGroup, GroupAlgebraElem, GroupAut, Word, gr_is_unit, word
 
 
 def z5_negation():
@@ -114,6 +114,27 @@ def rational_log(coeffs: dict[int, Fraction], top: int) -> dict[int, Fraction]:
         power = nxt
         n += 1
     return {d: c for d, c in out.items() if c}
+
+
+def unit_laurent_by_evaluation(p) -> bool:
+    """Unit test in Q[H]((t)) by evaluation, the oracle for is_unit_laurent.
+
+    After clearing t^lo, the determinant of the regular representation of p
+    is a polynomial over Q of degree <= |H| * span.  p is a unit iff that
+    polynomial is nonzero, iff p(t0) is a unit of Q[H] at one of |H| * span + 1
+    distinct rational points t0 = 2, 3, ...
+    """
+    if p.is_zero():
+        return False
+    lo = p.min_degree()
+    span = p.max_degree() - lo
+    for t0 in range(2, p.group.order * span + 3):
+        value = GroupAlgebraElem.zero(p.group)
+        for d, c in p.terms.items():
+            value = value + c.scale(Fraction(t0) ** (d - lo))
+        if gr_is_unit(value):
+            return True
+    return False
 
 
 def figure8_trace(k: int) -> int:

@@ -31,6 +31,40 @@ def test_compute_figure8_double_cover_json(capsys):
     assert data["precision"] == 10
 
 
+def test_compute_figure8_double_cover_printed_strings(capsys, monkeypatch):
+    """Pins the delta, delta_unit and logs strings at the default precision."""
+    monkeypatch.delenv("K1ALEX_PRECISION", raising=False)
+    code, out, _ = run(capsys, "compute", "--knot", "4_1", "--cover", "2",
+                       "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["precision"] == 24
+    assert data["delta"] == (
+        "(1)*tau^-1 + (-2 - x^3) + (1 + x^2 - x^4)*tau + "
+        "(x - x^3)*tau^2 + (x^2 - x^4)*tau^3 + (x - x^3)*tau^4 + "
+        "(x^2 - x^4)*tau^5 + (x - x^3)*tau^6 + (x^2 - x^4)*tau^7 + "
+        "(x - x^3)*tau^8 + (x^2 - x^4)*tau^9 + (x - x^3)*tau^10 + "
+        "(x^2 - x^4)*tau^11 + (x - x^3)*tau^12 + (x^2 - x^4)*tau^13 + "
+        "(x - x^3)*tau^14 + (x^2 - x^4)*tau^15 + (x - x^3)*tau^16 + "
+        "(x^2 - x^4)*tau^17 + (x - x^3)*tau^18 + (x^2 - x^4)*tau^19 + "
+        "(x - x^3)*tau^20 + (x^2 - x^4)*tau^21 + (x - x^3)*tau^22 + "
+        "O(tau^23)")
+    assert data["delta_unit"] == "(1)*tau^-1"
+    assert data["logs"] == {
+        "2": "-3/2*[1] + -1*[x] + -1*[x^2]",
+        "4": "-11/4*[1] + -9/2*[x] + -9/2*[x^2]",
+        "6": "-11*[1] + -64/3*[x] + -64/3*[x^2]",
+        "8": "-443/8*[1] + -441/4*[x] + -441/4*[x^2]",
+        "10": "-3027/10*[1] + -605*[x] + -605*[x^2]",
+        "12": "-10369/6*[1] + -3456*[x] + -3456*[x^2]",
+        "14": "-142131/14*[1] + -142129/7*[x] + -142129/7*[x^2]",
+        "16": "-974171/16*[1] + -974169/8*[x] + -974169/8*[x^2]",
+        "18": "-1112843/3*[1] + -6677056/9*[x] + -6677056/9*[x^2]",
+        "20": "-45765227/20*[1] + -9153045/2*[x] + -9153045/2*[x^2]",
+        "22": "-313679523/22*[1] + -313679521/11*[x] + -313679521/11*[x^2]",
+    }
+
+
 def test_compute_trefoil_sixfold_polynomial(capsys):
     code, out, _ = run(capsys, "compute", "--knot", "3_1", "--cover", "6",
                        "--format", "json", "--precision", "8")

@@ -3,6 +3,8 @@
 import random
 from math import gcd
 
+import pytest
+
 from k1alex import (
     IntMatrix,
     MetabelianRepError,
@@ -70,6 +72,43 @@ def test_snf_random_reconstruction_suite():
         ds = [d for d in r.divisors if d]
         for a, b in zip(ds, ds[1:]):
             assert b % a == 0
+
+
+def _elementary(rng, n):
+    """A random elementary integer matrix: a shear, a row swap or a sign."""
+    E = IntMatrix.identity(n)
+    kind = rng.choice(("shear", "swap", "sign")) if n > 1 else "sign"
+    if kind == "sign":
+        i = rng.randrange(n)
+        E.rows[i][i] = -1
+        return E
+    i, j = rng.sample(range(n), 2)
+    if kind == "shear":
+        E.rows[i][j] = rng.choice((-3, -2, -1, 1, 2, 3))
+    else:
+        E.rows[i], E.rows[j] = E.rows[j], E.rows[i]
+    return E
+
+
+def test_inverse_unimodular_round_trip():
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        M = IntMatrix.identity(n)
+        for _ in range(rng.randint(0, 10)):
+            M = M @ _elementary(rng, n)
+        inv = M.inverse_unimodular()
+        assert M @ inv == IntMatrix.identity(n)
+        assert inv @ M == IntMatrix.identity(n)
+
+
+def test_inverse_unimodular_rejects_singular_and_non_unimodular():
+    with pytest.raises(ValueError, match="singular"):
+        IntMatrix([[1, 2], [2, 4]]).inverse_unimodular()
+    with pytest.raises(ValueError, match="not unimodular"):
+        IntMatrix([[2, 0], [0, 1]]).inverse_unimodular()
+    with pytest.raises(ValueError, match="not square"):
+        IntMatrix([[1, 0]]).inverse_unimodular()
 
 
 def test_alexander_presentation_torsion():

@@ -10,17 +10,19 @@ from k1alex import (
     GroupError,
     NovikovMatrix,
     NovikovSeries,
+    LaurentPolyGA,
     build_fox_matrix,
     builtin,
+    det_commutative,
     eliminate,
     fibered_obstruction,
     k1_invariant,
     metabelian_rep,
     ns_invert,
     ns_log,
-    ns_mul,
     rep_image,
     trivial_rep,
+    upsilon_matrix,
     witt_normalize,
 )
 from k1alex.grouprings import MetaRep
@@ -88,7 +90,7 @@ def test_build_matrix_trefoil_symbolic():
     def const(e, c=1):
         return NovikovSeries.monomial(k, GroupAlgebraElem.of(g, e, c), 0, PREC)
     assert mx[0, 0] == tau - NovikovSeries.one(k, PREC)
-    assert mx[0, 1] == ns_mul(tau, const(x1x2inv, -1))
+    assert mx[0, 1] == tau * const(x1x2inv, -1)
     assert mx[1, 0] == const(x2x1inv)
     assert mx[1, 1] == tau - NovikovSeries.one(k, PREC)
 
@@ -128,11 +130,11 @@ def test_delta_is_shifted_pivot_product():
     report = k1_invariant(p, rep, PREC)
     prod = NovikovSeries.one(rep.kappa, PREC)
     for d in report.diagonal:
-        prod = ns_mul(prod, d)
+        prod = prod * d
     assert report.delta == prod.shift(-p.genus)
     head = NovikovSeries.monomial(rep.kappa, report.unit_part, report.degree,
                                   report.delta.window)
-    assert ns_mul(head, report.witt) == report.delta
+    assert head * report.witt == report.delta
 
 
 def test_dieudonne_2x2_cofactor_oracle():
@@ -151,10 +153,10 @@ def test_dieudonne_2x2_cofactor_oracle():
         mx = NovikovMatrix([[a, b], [c, d]])
         report = eliminate(mx)
         assert report.invertible == "yes"
-        schur = d - ns_mul(ns_mul(c, ns_invert(a)), b)
+        schur = d - (c * ns_invert(a)) * b
         if schur.is_zero():
             continue
-        ref = ns_mul(a, schur).shift(-1)
+        ref = (a * schur).shift(-1)
         _, dref, wref = witt_normalize(ref)
         assert report.degree == dref
         ref_logs = ns_log(wref)
@@ -190,6 +192,38 @@ def test_fibered_obstruction_verdicts():
     res5 = fibered_obstruction(p5, [metabelian_rep(p5, 3)], PREC)
     assert res5.verdicts == ("invertible",)
     assert res5.summary == "no obstruction found: consistent-with-fibered"
+
+
+def test_fibered_obstruction_certifies_once(monkeypatch):
+    """[[1 - tau, 1], [1, 1 + tau + ... + tau^(K-1)]] at window K: the Schur
+    complement tau^K vanishes on the window, so elimination stalls, but the
+    exact determinant -tau^K is a unit.  The verdict is indeterminate and
+    the commutative certifier runs exactly once."""
+    import k1alex.k1core as k1core
+
+    K = PREC
+    _, kappa = trivial_group()
+    one = _poly(kappa, {0: {(): 1}}, K)
+    mx = NovikovMatrix([[_poly(kappa, {0: {(): 1}, 1: {(): -1}}, K), one],
+                        [one, _poly(kappa, {d: {(): 1} for d in range(K)}, K)]])
+    det = det_commutative(upsilon_matrix(mx, 1))
+    assert det == LaurentPolyGA.monomial(GroupAlgebraElem.one(kappa.group), K).scale(-1)
+    assert eliminate(mx).invertible == "indeterminate"
+
+    calls = []
+    certify = k1core._upsilon_certifier
+
+    def counting(m):
+        calls.append(m)
+        return certify(m)
+
+    monkeypatch.setattr(k1core, "build_fox_matrix", lambda p, rep, precision: mx)
+    monkeypatch.setattr(k1core, "_upsilon_certifier", counting)
+    p = builtin("3_1")
+    res = fibered_obstruction(p, [trivial_rep(p)], K)
+    assert res.verdicts == ("indeterminate",)
+    assert res.summary == "inconclusive"
+    assert calls == [mx]
 
 
 def test_pivot_trace_records_witt_type():

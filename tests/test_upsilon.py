@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from k1alex import (
+    FiniteAbelianGroup,
     GroupAlgebraElem,
     LaurentPolyGA,
     NovikovSeries,
@@ -14,6 +15,7 @@ from k1alex import (
     builtin,
     canonical_form,
     det_commutative,
+    gr_is_unit,
     is_unit_laurent,
     k1_invariant,
     metabelian_rep,
@@ -24,7 +26,14 @@ from k1alex import (
     upsilon_matrix,
 )
 
-from helpers import rand_ga, trivial_group, z4sq_order3, z5_negation
+from helpers import (
+    rand_ga,
+    rand_unit_ga,
+    trivial_group,
+    unit_laurent_by_evaluation,
+    z4sq_order3,
+    z5_negation,
+)
 
 
 def _series(kappa, terms, top=8):
@@ -217,6 +226,83 @@ def test_is_unit_laurent_cases():
     mixed = LaurentPolyGA(H, {0: norm, 1: GroupAlgebraElem.one(H)})
     assert is_unit_laurent(mixed)  # non-unit coefficients, unit series
     assert not is_unit_laurent(LaurentPolyGA.zero(H))
+
+
+def _idempotent(H, x):
+    """(1/|<x>|) * (sum of the powers of x): an idempotent zero divisor."""
+    powers = {H.scale(x, k) for k in range(H.element_order(x))}
+    return GroupAlgebraElem(H, {e: Fraction(1, len(powers)) for e in powers})
+
+
+def test_is_unit_laurent_agrees_with_evaluation_oracle():
+    """Seeded agreement with the evaluation oracle over seven groups: random
+    polynomials, non-units of span >= 2 (a random polynomial times a zero
+    divisor), and units all of whose coefficients are zero divisors, with
+    and without a unit value at t = 2."""
+    rng = random.Random(55)
+    seen = {"unit": 0, "non-unit span>=2": 0, "zero-divisor coefficients": 0,
+            "p(2) not a unit": 0}
+    for divisors in ((), (2,), (5,), (2, 2), (6,), (2, 4), (4, 4)):
+        H = FiniteAbelianGroup(divisors)
+        one = GroupAlgebraElem.one(H)
+        gens = H.generator_basis() or [H.identity()]
+        for _ in range(8):
+            cases = [_rand_lp(rng, H),
+                     LaurentPolyGA(H, {d: rand_ga(rng, H) for d in range(-1, 3)})]
+            if divisors:
+                x = rng.choice(gens)
+                e = _idempotent(H, x)
+                zero_divisor = one - GroupAlgebraElem.of(H, x)
+                cases.append(cases[1] * LaurentPolyGA.monomial(zero_divisor))
+                a, b = rng.sample(range(-2, 3), 2)
+                cases.append(LaurentPolyGA(H, {a: e * rand_unit_ga(rng, H),
+                                               b: (one - e) * rand_unit_ga(rng, H)}))
+                two_minus_t = LaurentPolyGA(H, {0: one.scale(2), 1: -one})
+                cases.append(LaurentPolyGA.monomial(e * rand_unit_ga(rng, H))
+                             + LaurentPolyGA.monomial((one - e) * rand_unit_ga(rng, H), 1)
+                             * two_minus_t)
+            for p in cases:
+                unit = is_unit_laurent(p)
+                assert unit == unit_laurent_by_evaluation(p), p
+                if p.is_zero():
+                    continue
+                span = p.max_degree() - p.min_degree()
+                seen["unit"] += unit
+                seen["non-unit span>=2"] += not unit and span >= 2
+                if unit and not any(gr_is_unit(c) for c in p.terms.values()):
+                    seen["zero-divisor coefficients"] += 1
+                    lo = p.min_degree()
+                    at_two = GroupAlgebraElem.zero(H)
+                    for d, c in p.terms.items():
+                        at_two = at_two + c.scale(2 ** (d - lo))
+                    seen["p(2) not a unit"] += not gr_is_unit(at_two)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_is_unit_laurent_runs_at_most_two_eliminations(monkeypatch):
+    import k1alex.upsilon as upsilon
+
+    calls = []
+    echelon = upsilon.echelon
+
+    def counting(A, ncols):
+        calls.append(ncols)
+        return echelon(A, ncols)
+
+    monkeypatch.setattr(upsilon, "echelon", counting)
+    H, _ = z5_negation()
+    one = GroupAlgebraElem.one(H)
+    norm = GroupAlgebraElem(H, {e: 1 for e in H.elements()})
+    e = norm.scale(Fraction(1, 5))
+    cases = [
+        (LaurentPolyGA(H, {0: one, 1: GroupAlgebraElem.of(H, (1,))}), True, 1),
+        (LaurentPolyGA(H, {0: e, 1: -e, 2: e}), False, 2),  # span 2 non-unit
+        (LaurentPolyGA(H, {0: one.scale(2) - e, 1: e - one}), True, 2),  # p(2) = e
+    ]
+    for p, unit, eliminations in cases:
+        calls.clear()
+        assert is_unit_laurent(p) == unit
+        assert calls == [5] * eliminations
 
 
 def test_figure8_double_cover_polynomial():
