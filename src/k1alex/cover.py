@@ -15,10 +15,9 @@ and every factorization U * A * V = D is re-verified before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .grouprings import FiniteAbelianGroup, GroupAut, MetaRep, solve
+from .grouprings import FiniteAbelianGroup, GroupAut, MetaRep
 from .presentation import MeridianPresentation, validate_rep
 from .words import fox_derivative
 
@@ -70,35 +69,21 @@ class IntMatrix:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([r[:] for r in self.rows])
-
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse of a unimodular square matrix."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("not square")
-        out = solve([[Fraction(x) for x in row] for row in self.rows],
-                    [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-        if out is None:
-            raise ValueError("matrix is singular")
-        if any(x.denominator != 1 for row in out for x in row):
-            raise ValueError("matrix is not unimodular")
-        return IntMatrix([[int(x) for x in row] for row in out])
-
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows})"
 
 
 @dataclass(frozen=True)
 class SNFResult:
-    """U @ A @ V = D with U, V unimodular and D diagonal, d_1 | d_2 | ..."""
+    """U @ A @ V = D with U, V unimodular and D diagonal, d_1 | d_2 | ...
+
+    ``U_inv`` is the exact inverse of U, accumulated alongside it.
+    """
 
     U: IntMatrix
+    U_inv: IntMatrix
     D: IntMatrix
     V: IntMatrix
-    det_u: int
-    det_v: int
 
     @property
     def divisors(self) -> list[int]:
@@ -109,36 +94,38 @@ def smith_normal_form(A: IntMatrix | Sequence[Sequence[int]]) -> SNFResult:
     """Smith normal form with deterministic minimal-pivot selection.
 
     The pivot at each stage is the entry of smallest nonzero absolute value
-    in the remaining block, ties broken row-major.  The factorization is
-    re-verified exactly before returning.
+    in the remaining block, ties broken row-major.  Every row operation on U
+    is undone by the inverse column operation on U_inv, so U_inv stays the
+    inverse of U.  The factorization and U @ U_inv = I are re-verified
+    exactly before returning.
     """
     if not isinstance(A, IntMatrix):
         A = IntMatrix(A)
     m, n = A.nrows, A.ncols
     D = [r[:] for r in A.rows]
     U = [[int(i == j) for j in range(m)] for i in range(m)]
+    U_inv = [r[:] for r in U]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
-    det_u = det_v = 1
 
     def swap_rows(i, j):
-        nonlocal det_u
         if i != j:
             D[i], D[j] = D[j], D[i]
             U[i], U[j] = U[j], U[i]
-            det_u = -det_u
+            for r in U_inv:
+                r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
-        nonlocal det_v
         if i != j:
             for r in D:
                 r[i], r[j] = r[j], r[i]
             for r in V:
                 r[i], r[j] = r[j], r[i]
-            det_v = -det_v
 
-    def add_row(i, j, c):  # row_i += c * row_j
+    def add_row(i, j, c):  # row_i += c * row_j; on U_inv, col_j -= c * col_i
         D[i] = [a + c * b for a, b in zip(D[i], D[j])]
         U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        for r in U_inv:
+            r[j] -= c * r[i]
 
     def add_col(i, j, c):  # col_i += c * col_j
         for r in D:
@@ -147,10 +134,10 @@ def smith_normal_form(A: IntMatrix | Sequence[Sequence[int]]) -> SNFResult:
             r[i] += c * r[j]
 
     def negate_row(i):
-        nonlocal det_u
         D[i] = [-a for a in D[i]]
         U[i] = [-a for a in U[i]]
-        det_u = -det_u
+        for r in U_inv:
+            r[i] = -r[i]
 
     t = 0
     limit = min(m, n)
@@ -183,7 +170,7 @@ def smith_normal_form(A: IntMatrix | Sequence[Sequence[int]]) -> SNFResult:
             continue
         t += 1
 
-    result = SNFResult(IntMatrix(U), IntMatrix(D), IntMatrix(V), det_u, det_v)
+    result = SNFResult(IntMatrix(U), IntMatrix(U_inv), IntMatrix(D), IntMatrix(V))
     _verify_snf(A, result)
     return result
 
@@ -191,8 +178,8 @@ def smith_normal_form(A: IntMatrix | Sequence[Sequence[int]]) -> SNFResult:
 def _verify_snf(A: IntMatrix, r: SNFResult) -> None:
     if (r.U @ A) @ r.V != r.D:
         raise SNFError("U A V != D")
-    if abs(r.det_u) != 1 or abs(r.det_v) != 1:
-        raise SNFError("transform matrices are not unimodular")
+    if r.U @ r.U_inv != IntMatrix.identity(r.U.nrows):
+        raise SNFError("U_inv is not the inverse of U")
     ds = r.divisors
     for i in range(r.D.nrows):
         for j in range(r.D.ncols):
@@ -269,7 +256,7 @@ def metabelian_rep(p: MeridianPresentation, cover_n: int) -> MetaRep:
     for i in range(p.rank):
         for k in range(cover_n):
             P.rows[i * cover_n + (k + 1) % cover_n][i * cover_n + k] = 1
-    K_full = (U @ P) @ U.inverse_unimodular()
+    K_full = (U @ P) @ snf.U_inv
     for ci, c in enumerate(tor_idx):
         for r, d in enumerate(ds):
             if d == 0 and K_full[r, c] != 0:

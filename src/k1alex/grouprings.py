@@ -205,9 +205,6 @@ class GroupAut:
             cur = self._apply_once(cur)
         return out
 
-    def is_identity(self) -> bool:
-        return self.order == 1
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupAut) or self.group != other.group:
             return False

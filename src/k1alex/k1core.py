@@ -18,7 +18,7 @@ commutative determinant computed in :mod:`k1alex.upsilon`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .grouprings import GroupAlgebraElem, GroupError, MetaRep, gr_is_unit
 from .novikov import (
@@ -151,9 +151,7 @@ def _pivot_candidate(entry: NovikovSeries):
     return deg, len(entry.support())
 
 
-def eliminate(mx: NovikovMatrix,
-              certify_singular: Callable[[NovikovMatrix], bool] | None = None
-              ) -> K1Report:
+def eliminate(mx: NovikovMatrix) -> K1Report:
     """Diagonalize by unit-leading pivots and elementary row operations.
 
     Pivot choice is deterministic: minimal leading tau-degree first, then
@@ -165,9 +163,8 @@ def eliminate(mx: NovikovMatrix,
 
     If at some stage no entry has a unit leading coefficient the verdict is
     "indeterminate" -- a unit of the Novikov ring over a ring with nontrivial
-    idempotents can hide behind a non-unit leading coefficient.  A definite
-    "no" needs the remaining block to vanish on the whole window and an
-    exact external singularity certificate.
+    idempotents can hide behind a non-unit leading coefficient.  Elimination
+    never answers "no"; :func:`k1_invariant` settles that exactly.
     """
     n = mx.size
     M = mx.copy_entries()
@@ -190,11 +187,6 @@ def eliminate(mx: NovikovMatrix,
                 if best is None or key < best[0]:
                     best = (key, i, j)
         if best is None:
-            rest_zero = all(M[i][j].is_zero() for i in range(k, n) for j in range(k, n))
-            if rest_zero and certify_singular and certify_singular(mx):
-                return K1Report("no", precision, pivot_trace=trace, swaps=swaps,
-                                note="no admissible pivot; remaining block zero "
-                                     "on the window and certified singular")
             return K1Report("indeterminate", precision, pivot_trace=trace, swaps=swaps,
                             note="no admissible pivot at stage %d" % k)
         (key, bi, bj) = best
@@ -244,11 +236,19 @@ def k1_invariant(p: MeridianPresentation, rep: MetaRep,
     """Full pipeline: build the relation matrix, eliminate, normalize.
 
     The report carries the Witt-normalized representative of the determinant
-    class and its projected logarithms.  Indeterminate eliminations consult
-    the exact commutative determinant for a singularity certificate.
+    class and its projected logarithms.  This is the one place where the
+    invertibility verdict is decided: when elimination stalls, the exact
+    commutative determinant det Upsilon of the matrix is consulted once.
+    Upsilon is a ring homomorphism, so an invertible matrix has a unit
+    det Upsilon; a non-unit therefore proves "no", whatever the stalled block
+    looks like.  Otherwise the verdict stays "indeterminate".
     """
     mx = build_fox_matrix(p, rep, precision)
-    return eliminate(mx, certify_singular=_upsilon_certifier)
+    report = eliminate(mx)
+    if report.invertible != "yes" and _upsilon_certifier(mx):
+        report.invertible = "no"
+        report.note += "; commutative determinant is not a unit: certified singular"
+    return report
 
 
 @dataclass(frozen=True)
@@ -263,29 +263,27 @@ class ObstructionReport:
         return "not-invertible" in self.verdicts
 
 
+_OBSTRUCTION_VERDICT = {"yes": "invertible", "no": "not-invertible",
+                        "indeterminate": "indeterminate"}
+
+
 def fibered_obstruction(p: MeridianPresentation, reps: Sequence[MetaRep],
                         precision: int = DEFAULT_PRECISION) -> ObstructionReport:
     """Invertibility of the relation matrix over each representation.
 
-    Any definite "not-invertible" certifies the knot is not fibered.  All
+    Each verdict is the :func:`k1_invariant` verdict renamed ("yes" ->
+    "invertible", "no" -> "not-invertible", "indeterminate" stays).  Any
+    definite "not-invertible" certifies the knot is not fibered.  All
     invertible verdicts are merely consistent with fiberedness: the converse
     would require every representation, so the summary never claims
-    "fibered".  Indeterminate eliminations are upgraded to a definite
-    "not-invertible" when the exact commutative determinant vanishes as a
-    zero divisor.
+    "fibered".
     """
-    verdicts = []
-    for rep in reps:
-        mx = build_fox_matrix(p, rep, precision)
-        if eliminate(mx).invertible == "yes":
-            verdicts.append("invertible")
-        else:
-            verdicts.append("not-invertible" if _upsilon_certifier(mx)
-                            else "indeterminate")
+    verdicts = tuple(_OBSTRUCTION_VERDICT[k1_invariant(p, rep, precision).invertible]
+                     for rep in reps)
     if "not-invertible" in verdicts:
         summary = "non-fibered certified"
     elif all(v == "invertible" for v in verdicts):
         summary = "no obstruction found: consistent-with-fibered"
     else:
         summary = "inconclusive"
-    return ObstructionReport(tuple(verdicts), summary)
+    return ObstructionReport(verdicts, summary)

@@ -184,12 +184,6 @@ class NovikovSeries:
                              tuple(c.apply_aut(self.kappa, k) for c in self.coeffs),
                              self.top + k)
 
-    def twist(self, power: int = 1) -> "NovikovSeries":
-        """Apply kappa^power to every coefficient (degrees unchanged)."""
-        return NovikovSeries(self.kappa, self.min_deg,
-                             tuple(c.apply_aut(self.kappa, power) for c in self.coeffs),
-                             self.top)
-
     def truncate(self, top: int) -> "NovikovSeries":
         if top >= self.top:
             return self

@@ -217,16 +217,9 @@ class NielsenMove:
         # x_i' = x_i x_j  =>  x_i = x_i' x_j'^-1
         return {self.i: gen(self.i) * gen(self.j, -1)}
 
-    def inverse(self) -> "NielsenMove":
-        if self.kind in ("swap", "invert"):
-            return self
-        # (x_i -> x_j x_i)^-1 is x_i -> x_j^-1 x_i, which is invert(j),
-        # left-multiply, invert(j) -- not elementary.  Callers that need an
-        # inverse move should instead apply the three-step sequence below.
-        raise ValueError("multiply moves have no single-move inverse; "
-                         "use inverse_sequence()")
-
     def inverse_sequence(self) -> list["NielsenMove"]:
+        """Moves undoing this one: itself for swap/invert; a multiply move is
+        undone by invert(j), the same move, invert(j)."""
         if self.kind in ("swap", "invert"):
             return [self]
         return [NielsenMove("invert", self.j),

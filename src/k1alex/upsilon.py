@@ -319,8 +319,7 @@ def is_unit_laurent(p: LaurentPolyGA) -> bool:
     return len(echelon(stacked, n)) == n
 
 
-def metafinite_polynomial(p: MeridianPresentation, rep: MetaRep,
-                          matrix: NovikovMatrix | None = None) -> LaurentPolyGA:
+def metafinite_polynomial(p: MeridianPresentation, rep: MetaRep) -> LaurentPolyGA:
     """Commutative determinant of the untwisted relation matrix.
 
     Computes det of the block image of the relation matrix, multiplied by the
@@ -329,8 +328,7 @@ def metafinite_polynomial(p: MeridianPresentation, rep: MetaRep,
     through :func:`poly_equiv`, since the class is only defined up to unit
     monomials.
     """
-    if matrix is None:
-        matrix = build_fox_matrix(p, rep, precision=4)
+    matrix = build_fox_matrix(p, rep, precision=4)
     N = rep.cover_n
     det = det_commutative(upsilon_matrix(matrix, N))
     det = det.shift(-2 * p.genus * p.genus * N)

@@ -74,9 +74,6 @@ class Word:
     def exponent_sum(self, gen: int) -> int:
         return sum(e for g, e in self.letters if g == gen)
 
-    def length(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
-
     def syllables(self) -> Iterator[tuple[int, int]]:
         """Yield single letters (gen, +-1) left to right."""
         for g, e in self.letters:
@@ -197,15 +194,6 @@ def fox_derivative(w: Word, target: int) -> FreeRingElem:
     return FreeRingElem(out)
 
 
-def fox_derivative_ring(elem: FreeRingElem, target: int) -> FreeRingElem:
-    """Z-linear extension of the Fox derivative to ring elements."""
-    out = FreeRingElem.zero()
-    for w, c in elem.terms.items():
-        d = fox_derivative(w, target)
-        out = out + FreeRingElem({t: c * k for t, k in d.terms.items()})
-    return out
-
-
 def substitute(w: Word, images: Mapping[int, Word]) -> Word:
     """Apply a substitution x_i -> images[i] letter by letter.
 
@@ -216,11 +204,3 @@ def substitute(w: Word, images: Mapping[int, Word]) -> Word:
         img = images.get(g)
         out = out * (gen(g, e) if img is None else img ** e)
     return out
-
-
-def substitute_ring(elem: FreeRingElem, images: Mapping[int, Word]) -> FreeRingElem:
-    out: dict[Word, int] = {}
-    for w, c in elem.terms.items():
-        sw = substitute(w, images)
-        out[sw] = out.get(sw, 0) + c
-    return FreeRingElem(out)

@@ -3,8 +3,6 @@
 import random
 from math import gcd
 
-import pytest
-
 from k1alex import (
     IntMatrix,
     MetabelianRepError,
@@ -68,7 +66,7 @@ def test_snf_random_reconstruction_suite():
         A = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
         r = smith_normal_form(A)  # reconstruction is asserted internally
         assert (r.U @ A) @ r.V == r.D
-        assert abs(r.det_u) == 1 and abs(r.det_v) == 1
+        assert r.U @ r.U_inv == IntMatrix.identity(m)
         ds = [d for d in r.divisors if d]
         for a, b in zip(ds, ds[1:]):
             assert b % a == 0
@@ -90,25 +88,17 @@ def _elementary(rng, n):
     return E
 
 
-def test_inverse_unimodular_round_trip():
+def test_snf_u_inv_round_trip():
+    """U_inv inverts U on both sides, for random unimodular products."""
     rng = random.Random(23)
     for _ in range(60):
         n = rng.randint(1, 5)
         M = IntMatrix.identity(n)
         for _ in range(rng.randint(0, 10)):
             M = M @ _elementary(rng, n)
-        inv = M.inverse_unimodular()
-        assert M @ inv == IntMatrix.identity(n)
-        assert inv @ M == IntMatrix.identity(n)
-
-
-def test_inverse_unimodular_rejects_singular_and_non_unimodular():
-    with pytest.raises(ValueError, match="singular"):
-        IntMatrix([[1, 2], [2, 4]]).inverse_unimodular()
-    with pytest.raises(ValueError, match="not unimodular"):
-        IntMatrix([[2, 0], [0, 1]]).inverse_unimodular()
-    with pytest.raises(ValueError, match="not square"):
-        IntMatrix([[1, 0]]).inverse_unimodular()
+        r = smith_normal_form(M)
+        assert r.U @ r.U_inv == IntMatrix.identity(n)
+        assert r.U_inv @ r.U == IntMatrix.identity(n)
 
 
 def test_alexander_presentation_torsion():

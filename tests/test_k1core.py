@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from k1alex import (
+    FiniteAbelianGroup,
     GroupAlgebraElem,
+    GroupAut,
     GroupError,
     NovikovMatrix,
     NovikovSeries,
@@ -164,15 +166,39 @@ def test_dieudonne_2x2_cofactor_oracle():
             assert report.logs[k] == ref_logs[k]
 
 
-def test_eliminate_singular_matrix_certified_no():
+def _feed_matrix(monkeypatch, mx):
+    """Make k1_invariant and fibered_obstruction see ``mx`` for any input."""
+    import k1alex.k1core as k1core
+    monkeypatch.setattr(k1core, "build_fox_matrix", lambda p, rep, precision: mx)
+    p = builtin("3_1")
+    return p, trivial_rep(p)
+
+
+def test_eliminate_singular_matrix_certified_no(monkeypatch):
     _, kappa = trivial_group()
     row = _poly(kappa, {0: {(): -1}, 1: {(): 1}})  # tau - 1
     mx = NovikovMatrix([[row, row], [row, row]])
-    report = eliminate(mx)  # no certifier: honest indeterminate
+    report = eliminate(mx)  # elimination alone: honest indeterminate
     assert report.invertible == "indeterminate"
-    from k1alex.k1core import _upsilon_certifier
-    report2 = eliminate(mx, certify_singular=_upsilon_certifier)
+    p, rep = _feed_matrix(monkeypatch, mx)
+    report2 = k1_invariant(p, rep, PREC)
     assert report2.invertible == "no"
+
+
+def test_verdict_same_in_k1_invariant_and_fibered_obstruction(monkeypatch):
+    """[[1 + x, 0], [0, 1]] over Q[Z/2]: 1 + x is a zero divisor, so
+    elimination stalls on a nonzero block, and det Upsilon = 1 + x is not a
+    unit.  Both entry points must answer with the same definite verdict."""
+    H = FiniteAbelianGroup([2])
+    kappa = GroupAut.identity(H)
+    mx = NovikovMatrix([[_poly(kappa, {0: {(0,): 1, (1,): 1}}), _poly(kappa, {})],
+                        [_poly(kappa, {}), _poly(kappa, {0: {(0,): 1}})]])
+    assert eliminate(mx).invertible == "indeterminate"
+    p, rep = _feed_matrix(monkeypatch, mx)
+    assert k1_invariant(p, rep, PREC).invertible == "no"
+    res = fibered_obstruction(p, [rep], PREC)
+    assert res.verdicts == ("not-invertible",)
+    assert res.certified_nonfibered
 
 
 def test_fibered_obstruction_verdicts():
@@ -217,10 +243,9 @@ def test_fibered_obstruction_certifies_once(monkeypatch):
         calls.append(m)
         return certify(m)
 
-    monkeypatch.setattr(k1core, "build_fox_matrix", lambda p, rep, precision: mx)
+    p, rep = _feed_matrix(monkeypatch, mx)
     monkeypatch.setattr(k1core, "_upsilon_certifier", counting)
-    p = builtin("3_1")
-    res = fibered_obstruction(p, [trivial_rep(p)], K)
+    res = fibered_obstruction(p, [rep], K)
     assert res.verdicts == ("indeterminate",)
     assert res.summary == "inconclusive"
     assert calls == [mx]

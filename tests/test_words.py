@@ -5,7 +5,7 @@ import random
 import pytest
 
 from k1alex import FreeRingElem, WordError, fox_derivative, gen, reduce, word
-from k1alex.words import IDENTITY, fox_derivative_ring, substitute, substitute_ring
+from k1alex.words import IDENTITY, substitute
 
 from helpers import rand_word
 
@@ -96,12 +96,9 @@ def test_fox_chain_rule_random():
             lhs = fox_derivative(substitute(y, sub), i)
             rhs = FreeRingElem.zero()
             for k in (1, 2, 3):
-                outer = substitute_ring(fox_derivative(y, k), sub)
+                outer = FreeRingElem.zero()
+                for w, c in fox_derivative(y, k).terms.items():
+                    outer = outer + FreeRingElem.of(substitute(w, sub), c)
                 rhs = rhs + outer * fox_derivative(sub[k], i)
             assert lhs == rhs
 
-
-def test_fox_derivative_linear_extension():
-    e = FreeRingElem.of(x1 * x2, 2) + FreeRingElem.of(x2, -1)
-    d = fox_derivative_ring(e, 2)
-    assert d == FreeRingElem.of(x1, 2) + FreeRingElem.of(IDENTITY, -1)
