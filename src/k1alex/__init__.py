@@ -45,7 +45,6 @@ from .novikov import (
     NovikovSeries,
     SeriesError,
     WittVector,
-    log_series,
     ns_invert,
     ns_log,
     witt_normalize,

@@ -12,7 +12,8 @@ tau^{-g}, represents the determinant class of the matrix in the abelianized
 unit group.  The representative is ambiguous up to a unit monomial
 (u tau^k, u a unit of Q[H]) and coefficient-wise twisting; the canonical
 content is the Witt part together with its projected logarithms and the
-commutative determinant computed in :mod:`k1alex.upsilon`.
+commutative determinant det Upsilon computed in :mod:`k1alex.upsilon`, from
+which :func:`k1_invariant` also takes the logarithms and the singular verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .grouprings import GroupAlgebraElem, GroupError, MetaRep, gr_is_unit
+from .grouprings import GroupAlgebraElem, GroupError, MetaRep, gr_inverse, gr_is_unit
 from .novikov import (
     DEFAULT_PRECISION,
     LogClass,
@@ -61,9 +62,6 @@ class NovikovMatrix:
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
-    def copy_entries(self):
-        return [row[:] for row in self.entries]
-
 
 @dataclass(frozen=True)
 class PivotStep:
@@ -82,8 +80,8 @@ class K1Report:
     """Outcome of eliminating a Novikov matrix.
 
     ``delta`` is tau^{-g} times the ordered pivot product; when the verdict
-    is "yes" it factors as unit_part * tau^degree * witt and the projected
-    logarithms of the Witt part are filled in.
+    is "yes" it factors as unit_part * tau^degree * witt, and
+    :func:`k1_invariant` fills in the projected logarithms of the Witt part.
     """
 
     invertible: str  # "yes" | "no" | "indeterminate"
@@ -164,10 +162,11 @@ def eliminate(mx: NovikovMatrix) -> K1Report:
     If at some stage no entry has a unit leading coefficient the verdict is
     "indeterminate" -- a unit of the Novikov ring over a ring with nontrivial
     idempotents can hide behind a non-unit leading coefficient.  Elimination
-    never answers "no"; :func:`k1_invariant` settles that exactly.
+    never answers "no" and computes no logarithm; :func:`k1_invariant`
+    settles both from the commutative determinant.
     """
     n = mx.size
-    M = mx.copy_entries()
+    M = [row[:] for row in mx.entries]
     kappa = mx.kappa
     trace: list[PivotStep] = []
     swaps = 0
@@ -215,20 +214,11 @@ def eliminate(mx: NovikovMatrix) -> K1Report:
         product = product * d
     delta = product.shift(-mx.genus)
     unit_part, degree, witt = witt_normalize(delta)
-    logs = ns_log(witt)
     return K1Report("yes", precision, diagonal=diagonal, pivot_trace=trace,
                     swaps=swaps, delta=delta, unit_part=unit_part,
-                    degree=degree, witt=witt, logs=logs,
+                    degree=degree, witt=witt,
                     note=f"delta = tau^-{mx.genus} * (ordered pivot product); "
                          f"{swaps} swaps absorbed into the unit ambiguity")
-
-
-def _upsilon_certifier(mx: NovikovMatrix) -> bool:
-    """True when the commutative determinant certifies singularity exactly."""
-    from .upsilon import det_commutative, is_unit_laurent, upsilon_matrix
-    period = mx.kappa.order
-    det = det_commutative(upsilon_matrix(mx, period))
-    return not is_unit_laurent(det)
 
 
 def k1_invariant(p: MeridianPresentation, rep: MetaRep,
@@ -237,15 +227,33 @@ def k1_invariant(p: MeridianPresentation, rep: MetaRep,
 
     The report carries the Witt-normalized representative of the determinant
     class and its projected logarithms.  This is the one place where the
-    invertibility verdict is decided: when elimination stalls, the exact
-    commutative determinant det Upsilon of the matrix is consulted once.
-    Upsilon is a ring homomorphism, so an invertible matrix has a unit
-    det Upsilon; a non-unit therefore proves "no", whatever the stalled block
-    looks like.  Otherwise the verdict stays "indeterminate".
+    invertibility verdict is decided.  The exact commutative determinant
+    P = det Upsilon at period ord kappa is computed once.  On "yes" the logs
+    are read off P (:func:`ns_log`).  When elimination stalls: Upsilon is a
+    ring homomorphism, so an invertible matrix has a unit P, and a non-unit
+    proves "no", whatever the stalled block looks like.  Otherwise the
+    verdict stays "indeterminate".
     """
+    from . import upsilon
     mx = build_fox_matrix(p, rep, precision)
+    kappa = mx.kappa
     report = eliminate(mx)
-    if report.invertible != "yes" and _upsilon_certifier(mx):
+    det = upsilon.det_commutative(upsilon.upsilon_matrix(mx, kappa.order))
+    if report.invertible == "yes":
+        # Row operations and swaps change det by at most a sign, and a pivot
+        # contributes the orbit product of its leading coefficient, so det's
+        # lowest coefficient is c0 = +-prod_{i<N} kappa^i(u), u the unit part
+        # of delta.  u^-1 is cached by the Witt normalization: no new solve.
+        u_inv = gr_inverse(report.unit_part)
+        one = c0_inv = GroupAlgebraElem.one(kappa.group)
+        for i in range(kappa.order):
+            c0_inv = c0_inv * u_inv.apply_aut(kappa, i)
+        lo = det.min_degree()
+        if det.coefficient(lo) * c0_inv != one:
+            c0_inv = -c0_inv
+        witt_det = {d - lo: c * c0_inv for d, c in det.terms.items()}
+        report.logs = ns_log(witt_det, kappa, report.witt.top)
+    elif not upsilon.is_unit_laurent(det):
         report.invertible = "no"
         report.note += "; commutative determinant is not a unit: certified singular"
     return report

@@ -19,7 +19,8 @@ motivating examples.  Witt vectors are the units 1 + a_1 tau + a_2 tau^2 +
     log(1 + mu) = mu - mu^2/2 + mu^3/3 - ...
 
 whose tau^k coefficients, projected to the coinvariants A/{a - kappa(a)},
-are the computable invariants extracted downstream.
+are the computable invariants extracted downstream.  :func:`ns_log` reads
+them off the commutative determinant of w, since log det = tr log.
 """
 
 from __future__ import annotations
@@ -174,10 +175,6 @@ class NovikovSeries:
                 terms[d] = terms[d] + c if d in terms else c
         return NovikovSeries.from_map(kappa, terms, top)
 
-    def scale(self, c: Fraction | int) -> "NovikovSeries":
-        return NovikovSeries(self.kappa, self.min_deg,
-                             tuple(x.scale(c) for x in self.coeffs), self.top)
-
     def shift(self, k: int) -> "NovikovSeries":
         """Left multiplication by tau^k: twists coefficients by kappa^k."""
         return NovikovSeries(self.kappa, self.min_deg + k,
@@ -279,21 +276,6 @@ def witt_normalize(a: NovikovSeries) -> tuple[GroupAlgebraElem, int, WittVector]
     return lead, d, WittVector.from_series(w)
 
 
-def log_series(w: NovikovSeries) -> NovikovSeries:
-    """log(w) = mu - mu^2/2 + ... for w = 1 + mu, as a raw series."""
-    mu = w - NovikovSeries.one(w.kappa, w.window)
-    if not mu.is_zero() and mu.leading()[0] < 1:
-        raise SeriesError("log needs a series with constant term 1")
-    out = NovikovSeries.zero(w.kappa, w.top)
-    power = mu.truncate(w.top)
-    n = 1
-    while not power.is_zero():
-        out = out + power.scale(Fraction((-1) ** (n - 1), n))
-        power = (power * mu).truncate(w.top)
-        n += 1
-    return out
-
-
 class LogClass:
     """Coinvariant-projected logarithm coefficients of a Witt vector.
 
@@ -325,28 +307,38 @@ class LogClass:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogClass):
             return NotImplemented
-        common = set(self.entries) & set(other.entries)
-        return all(self.entries[k] == other.entries[k] for k in common)
+        return self.entries == other.entries
 
     def __repr__(self) -> str:
         return "LogClass(" + ", ".join(
             f"{k}: {v}" for k, v in sorted(self.entries.items())) + ")"
 
 
-def ns_log(w: NovikovSeries) -> LogClass:
-    """Logarithm of a Witt vector, orbit-projected degree by degree.
+def ns_log(terms: Mapping[int, GroupAlgebraElem], kappa: GroupAut,
+           top: int) -> LogClass:
+    """Projected logarithm of a Witt vector w, read off its determinant.
 
-    Only tau^k coefficients with k a multiple of the automorphism order are
-    recorded: those are the degrees where the coinvariant quotient
-    A/{a - kappa(a)} receives the coefficient canonically.
+    ``terms`` are the coefficients of f = det Upsilon(w) at period N = ord
+    kappa, a polynomial in t over Q[H] with constant term 1.  Upsilon is a
+    ring homomorphism, log det = tr log, and the trace of a tau^k is the sum
+    of its N twists when N | k and 0 otherwise.  So the projected tau^k
+    coefficient of log w is (1/N) * orbit_project([t^k] log f), where log f
+    is k g_k = k f_k - sum_{j<k} j g_j f_{k-j}, O(top * deg f) products.
     """
-    if w.is_zero() or w.leading() != (0, GroupAlgebraElem.one(w.group)):
-        raise SeriesError("ns_log is defined on Witt vectors (constant term 1)")
-    raw = log_series(w)
-    period = w.kappa.order
+    group = kappa.group
+    if terms.get(0) != GroupAlgebraElem.one(group) or min(terms) < 0:
+        raise SeriesError("ns_log needs a polynomial with constant term 1")
+    period = kappa.order
+    tail = [(d, c) for d, c in terms.items() if d > 0]
+    kg: dict[int, GroupAlgebraElem] = {}  # k -> k * g_k, nonzero only
     entries = {}
-    for k in range(period, raw.top, period):
-        if k < 1:
-            continue
-        entries[k] = orbit_project(raw.coefficient(k), w.kappa)
-    return LogClass(w.kappa, period, raw.top, entries)
+    for k in range(1, top):
+        acc = terms[k].scale(k) if k in terms else GroupAlgebraElem.zero(group)
+        for d, c in tail:
+            if k - d in kg:
+                acc = acc - kg[k - d] * c
+        if not acc.is_zero():
+            kg[k] = acc
+        if k % period == 0:
+            entries[k] = orbit_project(acc.scale(Fraction(1, k * period)), kappa)
+    return LogClass(kappa, period, top, entries)

@@ -10,7 +10,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from k1alex import FiniteAbelianGroup, GroupAlgebraElem, GroupAut, Word, gr_is_unit, word
+from k1alex import (
+    FiniteAbelianGroup,
+    GroupAlgebraElem,
+    GroupAut,
+    LogClass,
+    Word,
+    gr_is_unit,
+    orbit_project,
+    word,
+)
 
 
 def z5_negation():
@@ -94,6 +103,17 @@ def dict_series_log(kappa: GroupAut, w: dict, top: int) -> dict:
         power = dict_series_mul(kappa, power, mu, top)
         n += 1
     return {d: c for d, c in out.items() if not c.is_zero()}
+
+
+def oracle_logs(w) -> LogClass:
+    """Projected logs of a Witt vector from dict_series_log, at the degrees
+    the library records (multiples of the automorphism order below w.top)."""
+    kappa = w.kappa
+    raw = dict_series_log(kappa, {d: w.coefficient(d) for d in w.support()}, w.top)
+    zero = GroupAlgebraElem.zero(kappa.group)
+    return LogClass(kappa, kappa.order, w.top,
+                    {k: orbit_project(raw.get(k, zero), kappa)
+                     for k in range(kappa.order, w.top, kappa.order)})
 
 
 def rational_log(coeffs: dict[int, Fraction], top: int) -> dict[int, Fraction]:

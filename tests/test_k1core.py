@@ -21,7 +21,6 @@ from k1alex import (
     k1_invariant,
     metabelian_rep,
     ns_invert,
-    ns_log,
     rep_image,
     trivial_rep,
     upsilon_matrix,
@@ -30,7 +29,14 @@ from k1alex import (
 from k1alex.grouprings import MetaRep
 from k1alex.words import FreeRingElem, gen
 
-from helpers import rand_ga, rand_unit_ga, trivial_group, z5_negation
+from helpers import (
+    oracle_logs,
+    rand_ga,
+    rand_unit_ga,
+    trivial_group,
+    z4sq_order3,
+    z5_negation,
+)
 
 PREC = 12
 
@@ -139,21 +145,36 @@ def test_delta_is_shifted_pivot_product():
     assert head * report.witt == report.delta
 
 
-def test_dieudonne_2x2_cofactor_oracle():
+def _feed_matrix(monkeypatch, mx):
+    """Make k1_invariant and fibered_obstruction see ``mx`` for any input."""
+    import k1alex.k1core as k1core
+    monkeypatch.setattr(k1core, "build_fox_matrix", lambda p, rep, precision: mx)
+    p = builtin("3_1")
+    return p, trivial_rep(p)
+
+
+def _rand_unit_leading_2x2(rng, kappa):
+    """[[a, b], [c, d]] with entries u + v tau, u a unit of Q[H] (v often 0)."""
+    entries = []
+    for _ in range(4):
+        terms = {0: rand_unit_ga(rng, kappa.group)}
+        if rng.random() < 0.8:
+            terms[1] = rand_ga(rng, kappa.group)
+        entries.append(NovikovSeries.from_map(kappa, terms, PREC))
+    a, b, c, d = entries
+    return NovikovMatrix([[a, b], [c, d]])
+
+
+def test_dieudonne_2x2_cofactor_oracle(monkeypatch):
     """Pivot products agree with the hand 2x2 Schur-complement determinant,
     compared through the canonical data (unit degree and projected logs)."""
     rng = random.Random(40)
     _, kappa = z5_negation()
     for _ in range(40):
-        entries = []
-        for _ in range(4):
-            terms = {0: rand_unit_ga(rng, kappa.group)}
-            if rng.random() < 0.8:
-                terms[1] = rand_ga(rng, kappa.group)
-            entries.append(NovikovSeries.from_map(kappa, terms, PREC))
-        a, b, c, d = entries
-        mx = NovikovMatrix([[a, b], [c, d]])
-        report = eliminate(mx)
+        mx = _rand_unit_leading_2x2(rng, kappa)
+        (a, b), (c, d) = mx.entries
+        p, rep = _feed_matrix(monkeypatch, mx)
+        report = k1_invariant(p, rep, PREC)
         assert report.invertible == "yes"
         schur = d - (c * ns_invert(a)) * b
         if schur.is_zero():
@@ -161,17 +182,30 @@ def test_dieudonne_2x2_cofactor_oracle():
         ref = (a * schur).shift(-1)
         _, dref, wref = witt_normalize(ref)
         assert report.degree == dref
-        ref_logs = ns_log(wref)
+        ref_logs = oracle_logs(wref)
         for k in report.logs.degrees():
             assert report.logs[k] == ref_logs[k]
 
 
-def _feed_matrix(monkeypatch, mx):
-    """Make k1_invariant and fibered_obstruction see ``mx`` for any input."""
-    import k1alex.k1core as k1core
-    monkeypatch.setattr(k1core, "build_fox_matrix", lambda p, rep, precision: mx)
-    p = builtin("3_1")
-    return p, trivial_rep(p)
+@pytest.mark.parametrize("fixture", [z5_negation, z4sq_order3])
+def test_det_route_logs_match_power_sum_oracle(monkeypatch, fixture):
+    """det Upsilon at period N = ord kappa lives in degrees divisible by N,
+    and on every "yes" the logs k1_invariant reads off it equal the
+    power-sum logs of the Witt part."""
+    rng = random.Random(41)
+    _, kappa = fixture()
+    N = kappa.order
+    checked = 0
+    for _ in range(16):
+        mx = _rand_unit_leading_2x2(rng, kappa)
+        det = det_commutative(upsilon_matrix(mx, N))
+        assert all(d % N == 0 for d in det.terms)
+        p, rep = _feed_matrix(monkeypatch, mx)
+        report = k1_invariant(p, rep, PREC)
+        if report.invertible == "yes":
+            assert report.logs == oracle_logs(report.witt)
+            checked += 1
+    assert checked >= 12
 
 
 def test_eliminate_singular_matrix_certified_no(monkeypatch):
@@ -220,13 +254,25 @@ def test_fibered_obstruction_verdicts():
     assert res5.summary == "no obstruction found: consistent-with-fibered"
 
 
+def _count_det_calls(monkeypatch):
+    """Record every argument upsilon.det_commutative is called with."""
+    import k1alex.upsilon as upsilon
+    calls = []
+    det = upsilon.det_commutative
+
+    def counting(U):
+        calls.append(U)
+        return det(U)
+
+    monkeypatch.setattr(upsilon, "det_commutative", counting)
+    return calls
+
+
 def test_fibered_obstruction_certifies_once(monkeypatch):
     """[[1 - tau, 1], [1, 1 + tau + ... + tau^(K-1)]] at window K: the Schur
     complement tau^K vanishes on the window, so elimination stalls, but the
     exact determinant -tau^K is a unit.  The verdict is indeterminate and
-    the commutative certifier runs exactly once."""
-    import k1alex.k1core as k1core
-
+    the commutative determinant is computed exactly once."""
     K = PREC
     _, kappa = trivial_group()
     one = _poly(kappa, {0: {(): 1}}, K)
@@ -236,19 +282,28 @@ def test_fibered_obstruction_certifies_once(monkeypatch):
     assert det == LaurentPolyGA.monomial(GroupAlgebraElem.one(kappa.group), K).scale(-1)
     assert eliminate(mx).invertible == "indeterminate"
 
-    calls = []
-    certify = k1core._upsilon_certifier
-
-    def counting(m):
-        calls.append(m)
-        return certify(m)
-
     p, rep = _feed_matrix(monkeypatch, mx)
-    monkeypatch.setattr(k1core, "_upsilon_certifier", counting)
+    calls = _count_det_calls(monkeypatch)
     res = fibered_obstruction(p, [rep], K)
     assert res.verdicts == ("indeterminate",)
     assert res.summary == "inconclusive"
-    assert calls == [mx]
+    assert len(calls) == 1
+    assert calls[0].entries == upsilon_matrix(mx, 1).entries
+
+
+def test_yes_verdict_computes_det_once(monkeypatch):
+    """A "yes" matrix takes its logs from det Upsilon: one determinant per
+    k1_invariant call, at period ord kappa."""
+    p = builtin("4_1")
+    rep = metabelian_rep(p, 2)
+    calls = _count_det_calls(monkeypatch)
+    report = k1_invariant(p, rep, PREC)
+    assert report.invertible == "yes"
+    assert len(calls) == 1
+    assert calls[0].period == rep.kappa.order
+    res = fibered_obstruction(p, [rep, metabelian_rep(p, 3)], PREC)
+    assert res.verdicts == ("invertible", "invertible")
+    assert len(calls) == 3
 
 
 def test_pivot_trace_records_witt_type():

@@ -7,13 +7,16 @@ import pytest
 
 from k1alex import (
     GroupAlgebraElem,
+    LogClass,
+    NovikovMatrix,
     NovikovSeries,
     SeriesError,
     WittVector,
-    log_series,
+    det_commutative,
     ns_invert,
     ns_log,
     orbit_project,
+    upsilon_matrix,
     witt_normalize,
 )
 
@@ -42,6 +45,13 @@ def rand_series(rng, kappa, neg=True):
         d = rng.randint(lo, lo + 4)
         terms[d] = rand_ga(rng, kappa.group, denominators=True)
     return NovikovSeries.from_map(kappa, terms, lo + W)
+
+
+def det_log(w):
+    """Projected logs of a polynomial Witt vector by the determinant route:
+    det Upsilon of the 1 x 1 matrix [w], fed to ns_log."""
+    det = det_commutative(upsilon_matrix(NovikovMatrix([[w]], genus=0)))
+    return ns_log(det.terms, w.kappa, w.top)
 
 
 def rand_unit_leading(rng, kappa):
@@ -146,7 +156,7 @@ def test_witt_normalize_reconstructs():
 
 def test_log_of_one_is_zero():
     _, kappa = z5_negation()
-    lc = ns_log(NovikovSeries.one(kappa, W))
+    lc = det_log(NovikovSeries.one(kappa, W))
     assert all(lc[k].is_zero() for k in lc.degrees())
 
 
@@ -155,17 +165,17 @@ def test_log_of_trefoil_polynomial_against_closed_form():
     t^m coefficient is (3/m) * (-1)^(m/3 - 1) for 3 | m, minus (-1)^(m-1)/m."""
     _, kappa = trivial_group()
     w = series(kappa, {0: {(): 1}, 1: {(): -1}, 2: {(): 1}}, top=26)
-    raw = log_series(w)
+    lc = det_log(w)
     for m in range(1, 26):
         expected = Fraction(0)
         if m % 3 == 0:
             expected += Fraction((-1) ** (m // 3 - 1) * 3, m)
         expected -= Fraction((-1) ** (m - 1), m)
-        got = raw.coefficient(m).augmentation()
+        got = lc[m].augmentation()
         assert got == expected
     # in particular the tau^(6n) coefficients are -1/(3n)
     for n in (1, 2, 3, 4):
-        assert raw.coefficient(6 * n).augmentation() == Fraction(-1, 3 * n)
+        assert lc[6 * n].augmentation() == Fraction(-1, 3 * n)
 
 
 def test_log_additivity_random_suite():
@@ -180,7 +190,7 @@ def test_log_additivity_random_suite():
                 terms[rng.randint(1, 4)] = rand_ga(rng, kappa.group)
             tails.append(NovikovSeries.from_map(kappa, terms, 9))
         u, v = tails
-        lu, lv, luv = ns_log(u), ns_log(v), ns_log(u * v)
+        lu, lv, luv = det_log(u), det_log(v), det_log(u * v)
         for k in luv.degrees():
             assert luv[k] == lu[k] + lv[k]
 
@@ -194,10 +204,12 @@ def test_log_against_dict_oracle():
         for _ in range(rng.randint(1, 3)):
             terms[rng.randint(1, 4)] = rand_ga(rng, kappa.group, denominators=True)
         w = NovikovSeries.from_map(kappa, terms, 9)
-        raw = log_series(w)
+        lc = det_log(w)
         oracle = dict_series_log(kappa, terms, 9)
-        for d in range(1, 9):
-            assert raw.coefficient(d) == oracle.get(d, GroupAlgebraElem.zero(kappa.group))
+        assert lc.degrees() == [2, 4, 6, 8]
+        for d in lc.degrees():
+            assert lc[d] == orbit_project(
+                oracle.get(d, GroupAlgebraElem.zero(kappa.group)), kappa)
 
 
 def test_log_entries_only_at_multiples_of_order():
@@ -205,7 +217,7 @@ def test_log_entries_only_at_multiples_of_order():
     one = GroupAlgebraElem.one(kappa.group)
     w = NovikovSeries.from_map(
         kappa, {0: one, 1: GroupAlgebraElem.of(kappa.group, (2,))}, 9)
-    lc = ns_log(w)
+    lc = det_log(w)
     assert lc.degrees() == [2, 4, 6, 8]
     with pytest.raises(KeyError, match="not a multiple"):
         lc[3]
@@ -223,14 +235,25 @@ def test_log_augmentation_consistency():
         for _ in range(rng.randint(1, 3)):
             terms[rng.randint(1, 4)] = rand_ga(rng, kappa.group)
         w = NovikovSeries.from_map(kappa, terms, 9)
-        raw = log_series(w)
+        lc = det_log(w)
         aug = {d: c.augmentation() for d, c in
                ((d, terms.get(d)) for d in range(0, 9)) if c is not None}
         aug = {d: v for d, v in aug.items() if v or d == 0}
         aug[0] = Fraction(1)
         expected = rational_log(aug, 9)
-        for d in range(1, 9):
-            assert raw.coefficient(d).augmentation() == expected.get(d, Fraction(0))
+        for d in lc.degrees():
+            assert lc[d].augmentation() == expected.get(d, Fraction(0))
+
+
+def test_log_class_equality_needs_equal_degrees():
+    """Equality compares every recorded degree, not only the shared ones."""
+    H, kappa = z5_negation()
+    x, y = (orbit_project(GroupAlgebraElem.of(H, (e,)), kappa) for e in (1, 2))
+    logs = LogClass(kappa, 2, 5, {2: x, 4: y})
+    assert logs == LogClass(kappa, 2, 5, {2: x, 4: y})
+    assert logs != LogClass(kappa, 2, 1, {})
+    assert logs != LogClass(kappa, 2, 3, {2: x})
+    assert logs != LogClass(kappa, 2, 5, {2: x, 4: x})
 
 
 def test_zero_series_representation():
