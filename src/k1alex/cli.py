@@ -7,9 +7,8 @@ Subcommands::
     k1alex cover --knot 4_1 -N 3                   cover homology and action
     k1alex list                                    built-in presentations
 
-Exit codes: 0 success, 2 parse/usage error, 3 validation error, 4
-indeterminate invertibility under --strict.  The environment variable
-K1ALEX_PRECISION overrides the default truncation window.
+Exit codes: 0 success, 2 parse/usage error, 3 validation error.  The
+environment variable K1ALEX_PRECISION overrides the default truncation window.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
-EXIT_INDETERMINATE = 4
 
 
 class CliError(Exception):
@@ -70,7 +68,12 @@ def _load_presentation(args) -> MeridianPresentation:
 def _precision(args) -> int:
     k = args.precision
     if k is None:
-        k = int(os.environ.get("K1ALEX_PRECISION", DEFAULT_PRECISION))
+        env = os.environ.get("K1ALEX_PRECISION", str(DEFAULT_PRECISION))
+        try:
+            k = int(env)
+        except ValueError as exc:
+            raise CliError(f"K1ALEX_PRECISION must be an integer, got {env!r}",
+                           EXIT_PARSE) from exc
     if k < 8:
         raise CliError("precision must be at least 8", EXIT_PARSE)
     return k
@@ -113,7 +116,7 @@ def cmd_compute(args) -> int:
         "logs": {},
         "metafinite_poly": str(poly),
     }
-    if report.invertible == "yes":
+    if report.delta is not None:
         payload["delta"] = str(report.delta)
         payload["delta_unit"] = f"({report.unit_part})*tau^{report.degree}"
         payload["logs"] = {str(k): str(report.logs[k])
@@ -132,8 +135,6 @@ def cmd_compute(args) -> int:
         for k, v in payload["logs"].items():
             print(f"log_{k}:      {v}")
         print(f"metafinite:  {payload['metafinite_poly']}")
-    if args.strict and report.invertible == "indeterminate":
-        return EXIT_INDETERMINATE
     return EXIT_OK
 
 
@@ -162,8 +163,6 @@ def cmd_fibered(args) -> int:
         for n, v in zip(covers, result.verdicts):
             print(f"N = {n}: {v}")
         print(result.summary)
-    if args.strict and "indeterminate" in result.verdicts:
-        return EXIT_INDETERMINATE
     return EXIT_OK
 
 
@@ -195,14 +194,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                               "invariants of knot groups")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, covers=False):
+    def common(sp):
         sp.add_argument("--knot", help="built-in knot name (see 'k1alex list')")
         sp.add_argument("--presentation", help="presentation file path")
         sp.add_argument("--precision", type=int, default=None,
                         help="truncation window (default 24, env K1ALEX_PRECISION)")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--strict", action="store_true",
-                        help="exit 4 on indeterminate invertibility")
 
     sp = sub.add_parser("compute", help="full invariant report")
     common(sp)

@@ -13,7 +13,7 @@ unit group.  The representative is ambiguous up to a unit monomial
 (u tau^k, u a unit of Q[H]) and coefficient-wise twisting; the canonical
 content is the Witt part together with its projected logarithms and the
 commutative determinant det Upsilon computed in :mod:`k1alex.upsilon`, from
-which :func:`k1_invariant` also takes the logarithms and the singular verdict.
+which :func:`k1_invariant` also takes the logarithms and a stall's verdict.
 """
 
 from __future__ import annotations
@@ -79,12 +79,13 @@ class PivotStep:
 class K1Report:
     """Outcome of eliminating a Novikov matrix.
 
-    ``delta`` is tau^{-g} times the ordered pivot product; when the verdict
-    is "yes" it factors as unit_part * tau^degree * witt, and
-    :func:`k1_invariant` fills in the projected logarithms of the Witt part.
+    ``delta`` is tau^{-g} times the ordered pivot product; it factors as
+    unit_part * tau^degree * witt, and :func:`k1_invariant` fills in the
+    projected logarithms of the Witt part.  All five stay None when
+    elimination stalls, and the verdict is then read off det Upsilon.
     """
 
-    invertible: str  # "yes" | "no" | "indeterminate"
+    invertible: Optional[str]  # "yes" | "no"; None only from a stalled eliminate()
     precision: int
     diagonal: list[NovikovSeries] = field(default_factory=list)
     pivot_trace: list[PivotStep] = field(default_factory=list)
@@ -159,11 +160,11 @@ def eliminate(mx: NovikovMatrix) -> K1Report:
     the ordered pivot product times tau^{-g} represents the class of the
     matrix.
 
-    If at some stage no entry has a unit leading coefficient the verdict is
-    "indeterminate" -- a unit of the Novikov ring over a ring with nontrivial
-    idempotents can hide behind a non-unit leading coefficient.  Elimination
-    never answers "no" and computes no logarithm; :func:`k1_invariant`
-    settles both from the commutative determinant.
+    A completed elimination proves the matrix invertible ("yes").  If at some
+    stage no entry has a unit leading coefficient -- a Novikov unit over a
+    ring with nontrivial idempotents can hide behind a non-unit one --
+    elimination stalls: ``delta`` is None, the verdict is left to
+    :func:`k1_invariant`, and the partial trace, swaps and stage are kept.
     """
     n = mx.size
     M = [row[:] for row in mx.entries]
@@ -186,7 +187,7 @@ def eliminate(mx: NovikovMatrix) -> K1Report:
                 if best is None or key < best[0]:
                     best = (key, i, j)
         if best is None:
-            return K1Report("indeterminate", precision, pivot_trace=trace, swaps=swaps,
+            return K1Report(None, precision, pivot_trace=trace, swaps=swaps,
                             note="no admissible pivot at stage %d" % k)
         (key, bi, bj) = best
         if bi != k:
@@ -227,19 +228,19 @@ def k1_invariant(p: MeridianPresentation, rep: MetaRep,
 
     The report carries the Witt-normalized representative of the determinant
     class and its projected logarithms.  This is the one place where the
-    invertibility verdict is decided.  The exact commutative determinant
-    P = det Upsilon at period ord kappa is computed once.  On "yes" the logs
-    are read off P (:func:`ns_log`).  When elimination stalls: Upsilon is a
-    ring homomorphism, so an invertible matrix has a unit P, and a non-unit
-    proves "no", whatever the stalled block looks like.  Otherwise the
-    verdict stays "indeterminate".
+    invertibility verdict, "yes" or "no", is decided.  P = det Upsilon at
+    period N = ord kappa is computed once.  When elimination completes, the
+    logs are read off P (:func:`ns_log`).  When it stalls, P decides:
+    M_n(A_kappa((tau))) is finite-dimensional over Q((tau^N)) and Upsilon
+    embeds it injectively into M_nN(Q[H]((t))), so M is invertible iff P is
+    a unit (:func:`is_unit_laurent`); delta, the Witt part and logs stay None.
     """
     from . import upsilon
     mx = build_fox_matrix(p, rep, precision)
     kappa = mx.kappa
     report = eliminate(mx)
     det = upsilon.det_commutative(upsilon.upsilon_matrix(mx, kappa.order))
-    if report.invertible == "yes":
+    if report.delta is not None:
         # Row operations and swaps change det by at most a sign, and a pivot
         # contributes the orbit product of its leading coefficient, so det's
         # lowest coefficient is c0 = +-prod_{i<N} kappa^i(u), u the unit part
@@ -253,9 +254,9 @@ def k1_invariant(p: MeridianPresentation, rep: MetaRep,
             c0_inv = -c0_inv
         witt_det = {d - lo: c * c0_inv for d, c in det.terms.items()}
         report.logs = ns_log(witt_det, kappa, report.witt.top)
-    elif not upsilon.is_unit_laurent(det):
-        report.invertible = "no"
-        report.note += "; commutative determinant is not a unit: certified singular"
+    else:
+        report.invertible = "yes" if upsilon.is_unit_laurent(det) else "no"
+        report.note += f"; det Upsilon decides the verdict: {report.invertible}"
     return report
 
 
@@ -263,7 +264,7 @@ def k1_invariant(p: MeridianPresentation, rep: MetaRep,
 class ObstructionReport:
     """Per-representation invertibility verdicts for the fiberedness test."""
 
-    verdicts: tuple[str, ...]  # "invertible" | "not-invertible" | "indeterminate"
+    verdicts: tuple[str, ...]  # "invertible" | "not-invertible"
     summary: str
 
     @property
@@ -271,27 +272,21 @@ class ObstructionReport:
         return "not-invertible" in self.verdicts
 
 
-_OBSTRUCTION_VERDICT = {"yes": "invertible", "no": "not-invertible",
-                        "indeterminate": "indeterminate"}
+_OBSTRUCTION_VERDICT = {"yes": "invertible", "no": "not-invertible"}
 
 
 def fibered_obstruction(p: MeridianPresentation, reps: Sequence[MetaRep],
                         precision: int = DEFAULT_PRECISION) -> ObstructionReport:
     """Invertibility of the relation matrix over each representation.
 
-    Each verdict is the :func:`k1_invariant` verdict renamed ("yes" ->
-    "invertible", "no" -> "not-invertible", "indeterminate" stays).  Any
-    definite "not-invertible" certifies the knot is not fibered.  All
-    invertible verdicts are merely consistent with fiberedness: the converse
-    would require every representation, so the summary never claims
-    "fibered".
+    Each verdict is the exact :func:`k1_invariant` verdict renamed ("yes" ->
+    "invertible", "no" -> "not-invertible").  Any "not-invertible" certifies
+    the knot is not fibered.  All invertible verdicts are merely consistent
+    with fiberedness: the converse would require every representation, so
+    the summary never claims "fibered".
     """
     verdicts = tuple(_OBSTRUCTION_VERDICT[k1_invariant(p, rep, precision).invertible]
                      for rep in reps)
-    if "not-invertible" in verdicts:
-        summary = "non-fibered certified"
-    elif all(v == "invertible" for v in verdicts):
-        summary = "no obstruction found: consistent-with-fibered"
-    else:
-        summary = "inconclusive"
+    summary = ("non-fibered certified" if "not-invertible" in verdicts
+               else "no obstruction found: consistent-with-fibered")
     return ObstructionReport(verdicts, summary)

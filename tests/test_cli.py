@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from k1alex.cli import main
 
 
@@ -63,6 +65,107 @@ def test_compute_figure8_double_cover_printed_strings(capsys, monkeypatch):
         "20": "-45765227/20*[1] + -9153045/2*[x] + -9153045/2*[x^2]",
         "22": "-313679523/22*[1] + -313679521/11*[x] + -313679521/11*[x^2]",
     }
+
+
+# Whole JSON reports at the default precision, byte for byte.
+PINNED_JSON = {
+    "compute --knot 3_1 --cover 6":
+    {"schema_version": 1,
+     "knot": "3_1",
+     "cover": 6,
+     "precision": 24,
+     "group": "trivial",
+     "kappa": [],
+     "kappa_order": 1,
+     "images": ["1", "1"],
+     "free_rank": 2,
+     "invertible": "yes",
+     "delta": "(-1)*tau^-1 + (1) + (-1)*tau + O(tau^23)",
+     "delta_unit": "(-1)*tau^-1",
+     "logs": {"1": "-1*[1]",
+              "2": "1/2*[1]",
+              "3": "2/3*[1]",
+              "4": "1/4*[1]",
+              "5": "-1/5*[1]",
+              "6": "-1/3*[1]",
+              "7": "-1/7*[1]",
+              "8": "1/8*[1]",
+              "9": "2/9*[1]",
+              "10": "1/10*[1]",
+              "11": "-1/11*[1]",
+              "12": "-1/6*[1]",
+              "13": "-1/13*[1]",
+              "14": "1/14*[1]",
+              "15": "2/15*[1]",
+              "16": "1/16*[1]",
+              "17": "-1/17*[1]",
+              "18": "-1/9*[1]",
+              "19": "-1/19*[1]",
+              "20": "1/20*[1]",
+              "21": "2/21*[1]",
+              "22": "1/22*[1]",
+              "23": "-1/23*[1]"},
+     "metafinite_poly": "(1)*t^-6 + (-2) + (1)*t^6"},
+    "compute --knot 5_2 --cover 3":
+    {"schema_version": 1,
+     "knot": "5_2",
+     "cover": 3,
+     "precision": 24,
+     "group": "Z/5 + Z/5",
+     "kappa": [[1, 1], [2, 3]],
+     "kappa_order": 3,
+     "images": ["x*y^2", "x*y^3"],
+     "free_rank": 0,
+     "invertible": "yes",
+     "delta": "(x^3*y + x^4*y)*tau^-1 + (-x^3*y - x^3*y^2 - x^4*y^4) + (x + "
+              "x^3*y^2)*tau + O(tau^23)",
+     "delta_unit": "(x^3*y + x^4*y)*tau^-1",
+     "logs": {"3": "-5/8*[1] + 1/8*[y] + 1/8*[y^2] + 1/8*[y^3] + 1/8*[y^4] + "
+                   "1/8*[x] + 1/8*[x*y] + 1/8*[x^2*y^2] + 1/8*[x^3]",
+              "6": "-121/384*[1] + 7/128*[y] + 7/128*[y^2] + 7/128*[y^3] + "
+                   "7/128*[y^4] + 7/128*[x] + 7/128*[x*y] + 7/128*[x^2*y^2] + "
+                   "7/128*[x^3]",
+              "9": "-341/1536*[1] + 1/1536*[y] + 1/1536*[y^2] + 1/1536*[y^3] + "
+                   "1/1536*[y^4] + 1/1536*[x] + 1/1536*[x*y] + 1/1536*[x^2*y^2] + "
+                   "1/1536*[x^3]",
+              "12": "-7625/49152*[1] + 567/16384*[y] + 567/16384*[y^2] + "
+                    "567/16384*[y^3] + 567/16384*[y^4] + 567/16384*[x] + "
+                    "567/16384*[x*y] + 567/16384*[x^2*y^2] + 567/16384*[x^3]",
+              "15": "-20837/163840*[1] + 605/32768*[y] + 605/32768*[y^2] + "
+                    "605/32768*[y^3] + 605/32768*[y^4] + 605/32768*[x] + "
+                    "605/32768*[x*y] + 605/32768*[x^2*y^2] + 605/32768*[x^3]",
+              "18": "-522265/4718592*[1] + 2023/1572864*[y] + 2023/1572864*[y^2] + "
+                    "2023/1572864*[y^3] + 2023/1572864*[y^4] + 2023/1572864*[x] + "
+                    "2023/1572864*[x*y] + 2023/1572864*[x^2*y^2] + "
+                    "2023/1572864*[x^3]",
+              "21": "-1293941/14680064*[1] + 312481/14680064*[y] + "
+                    "312481/14680064*[y^2] + 312481/14680064*[y^3] + "
+                    "312481/14680064*[y^4] + 312481/14680064*[x] + "
+                    "312481/14680064*[x*y] + 312481/14680064*[x^2*y^2] + "
+                    "312481/14680064*[x^3]"},
+     "metafinite_poly": "(2 + x + x*y^2 + x^2*y^2 + x^3*y^3 + x^4 + x^4*y^3)*t^-3 "
+                        "+ (-3 + y + y^2 + y^3 + y^4 - x + x*y - x*y^2 + x*y^3 + "
+                        "x*y^4 + x^2 + x^2*y - x^2*y^2 + x^2*y^3 + x^2*y^4 + x^3 + "
+                        "x^3*y + x^3*y^2 - x^3*y^3 + x^3*y^4 - x^4 + x^4*y + "
+                        "x^4*y^2 - x^4*y^3 + x^4*y^4) + (2 + x + x*y^2 + x^2*y^2 + "
+                        "x^3*y^3 + x^4 + x^4*y^3)*t^3"},
+    "fibered --knot 5_2 --covers 2,3":
+    {"schema_version": 1,
+     "knot": "5_2",
+     "covers": [2, 3],
+     "precision": 24,
+     "verdicts": {"2": "invertible", "3": "invertible"},
+     "summary": "no obstruction found: consistent-with-fibered"},
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_JSON),
+                         ids=["3_1-N6", "5_2-N3", "fibered-5_2"])
+def test_json_output_pinned(capsys, monkeypatch, command):
+    monkeypatch.delenv("K1ALEX_PRECISION", raising=False)
+    code, out, _ = run(capsys, *command.split(), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(PINNED_JSON[command], indent=2) + "\n"
 
 
 def test_compute_trefoil_sixfold_polynomial(capsys):
@@ -146,6 +249,13 @@ def test_env_precision_override(capsys, monkeypatch):
     assert json.loads(out)["precision"] == 9
 
 
+def test_env_precision_not_an_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("K1ALEX_PRECISION", "abc")
+    code, out, err = run(capsys, "compute", "--knot", "3_1", "--cover", "2")
+    assert code == 2
+    assert "K1ALEX_PRECISION" in err and "'abc'" in err and out == ""
+
+
 def test_cover_degree_must_be_at_least_two(capsys):
     code, _, err = run(capsys, "compute", "--knot", "4_1", "--cover", "1")
     assert code == 2
@@ -165,17 +275,18 @@ def test_rep_construction_failure_exits_3(capsys, monkeypatch):
     assert "synthetic failure" in err and out == ""
 
 
-def test_strict_indeterminate_exits_4(capsys, monkeypatch):
+def test_yes_without_delta_reports_null(capsys, monkeypatch):
+    """A "yes" from a stalled elimination has no delta: the report shows
+    null delta and no logs, and the command succeeds."""
     import k1alex.cli as cli
     from k1alex.k1core import K1Report
 
     monkeypatch.setattr(cli, "k1_invariant",
-                        lambda p, rep, k: K1Report("indeterminate", k))
+                        lambda p, rep, k: K1Report("yes", k, note="stalled"))
     code, out, _ = run(capsys, "compute", "--knot", "4_1", "--cover", "2",
-                       "--strict", "--format", "json")
-    assert code == 4
-    assert json.loads(out)["invertible"] == "indeterminate"
-    # without --strict the same report exits 0
-    code, _, _ = run(capsys, "compute", "--knot", "4_1", "--cover", "2",
-                     "--format", "json")
+                       "--format", "json")
     assert code == 0
+    data = json.loads(out)
+    assert data["invertible"] == "yes"
+    assert data["delta"] is None and data["delta_unit"] is None
+    assert data["logs"] == {}

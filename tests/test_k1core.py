@@ -18,6 +18,7 @@ from k1alex import (
     det_commutative,
     eliminate,
     fibered_obstruction,
+    is_unit_laurent,
     k1_invariant,
     metabelian_rep,
     ns_invert,
@@ -190,8 +191,9 @@ def test_dieudonne_2x2_cofactor_oracle(monkeypatch):
 @pytest.mark.parametrize("fixture", [z5_negation, z4sq_order3])
 def test_det_route_logs_match_power_sum_oracle(monkeypatch, fixture):
     """det Upsilon at period N = ord kappa lives in degrees divisible by N,
-    and on every "yes" the logs k1_invariant reads off it equal the
-    power-sum logs of the Witt part."""
+    the verdict is "yes" exactly when it is a unit, and on every completed
+    elimination the logs k1_invariant reads off it equal the power-sum logs
+    of the Witt part."""
     rng = random.Random(41)
     _, kappa = fixture()
     N = kappa.order
@@ -202,7 +204,9 @@ def test_det_route_logs_match_power_sum_oracle(monkeypatch, fixture):
         assert all(d % N == 0 for d in det.terms)
         p, rep = _feed_matrix(monkeypatch, mx)
         report = k1_invariant(p, rep, PREC)
-        if report.invertible == "yes":
+        assert (report.invertible == "yes") == is_unit_laurent(det)
+        if report.delta is not None:  # elimination completed: "yes"
+            assert report.invertible == "yes"
             assert report.logs == oracle_logs(report.witt)
             checked += 1
     assert checked >= 12
@@ -212,8 +216,8 @@ def test_eliminate_singular_matrix_certified_no(monkeypatch):
     _, kappa = trivial_group()
     row = _poly(kappa, {0: {(): -1}, 1: {(): 1}})  # tau - 1
     mx = NovikovMatrix([[row, row], [row, row]])
-    report = eliminate(mx)  # elimination alone: honest indeterminate
-    assert report.invertible == "indeterminate"
+    report = eliminate(mx)  # elimination alone stalls
+    assert report.delta is None
     p, rep = _feed_matrix(monkeypatch, mx)
     report2 = k1_invariant(p, rep, PREC)
     assert report2.invertible == "no"
@@ -227,12 +231,52 @@ def test_verdict_same_in_k1_invariant_and_fibered_obstruction(monkeypatch):
     kappa = GroupAut.identity(H)
     mx = NovikovMatrix([[_poly(kappa, {0: {(0,): 1, (1,): 1}}), _poly(kappa, {})],
                         [_poly(kappa, {}), _poly(kappa, {0: {(0,): 1}})]])
-    assert eliminate(mx).invertible == "indeterminate"
+    assert eliminate(mx).delta is None
     p, rep = _feed_matrix(monkeypatch, mx)
     assert k1_invariant(p, rep, PREC).invertible == "no"
     res = fibered_obstruction(p, [rep], PREC)
     assert res.verdicts == ("not-invertible",)
     assert res.certified_nonfibered
+
+
+def _matmul(A, B):
+    n = len(A)
+    return [[sum((A[i][k] * B[k][j] for k in range(1, n)), A[i][0] * B[0][j])
+             for j in range(n)] for i in range(n)]
+
+
+def _rand_elementary(rng, kappa):
+    """[[1, a], [0, 1]] or its transpose, a = a0 + a1 tau random over Q[H]."""
+    one, zero = _poly(kappa, {0: {(0,): 1}}), _poly(kappa, {})
+    a = NovikovSeries.from_map(kappa, {0: rand_ga(rng, kappa.group),
+                                       1: rand_ga(rng, kappa.group)}, PREC)
+    return [[one, a], [zero, one]] if rng.random() < 0.5 else [[one, zero], [a, one]]
+
+
+def test_stalled_elimination_verdict_read_off_det(monkeypatch):
+    """Over Q[Z/2] with the idempotent e = (1 + x)/2, f = e + (1 - e) tau is a
+    unit (inverse e + (1 - e) tau^-1) whose leading coefficient e is not.
+    E1 diag(f, 1) E2 is invertible and E1 diag(e, 1) E2 is not; elimination
+    stalls on both, and the exact verdict comes from det Upsilon."""
+    rng = random.Random(42)
+    H = FiniteAbelianGroup([2])
+    kappa = GroupAut.identity(H)
+    e = {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+    f = _poly(kappa, {0: e, 1: {(0,): Fraction(1, 2), (1,): Fraction(-1, 2)}})
+    one, zero = _poly(kappa, {0: {(0,): 1}}), _poly(kappa, {})
+    for middle, verdict, obstruction in ((f, "yes", "invertible"),
+                                         (_poly(kappa, {0: e}), "no", "not-invertible")):
+        for _ in range(10):
+            D = [[middle, zero], [zero, one]]
+            E1, E2 = _rand_elementary(rng, kappa), _rand_elementary(rng, kappa)
+            mx = NovikovMatrix(_matmul(_matmul(E1, D), E2))
+            assert eliminate(mx).delta is None
+            p, rep = _feed_matrix(monkeypatch, mx)
+            report = k1_invariant(p, rep, PREC)
+            assert report.invertible == verdict
+            assert report.delta is None and report.logs is None
+            assert "no admissible pivot at stage" in report.note
+            assert fibered_obstruction(p, [rep], PREC).verdicts == (obstruction,)
 
 
 def test_fibered_obstruction_verdicts():
@@ -271,22 +315,33 @@ def _count_det_calls(monkeypatch):
 def test_fibered_obstruction_certifies_once(monkeypatch):
     """[[1 - tau, 1], [1, 1 + tau + ... + tau^(K-1)]] at window K: the Schur
     complement tau^K vanishes on the window, so elimination stalls, but the
-    exact determinant -tau^K is a unit.  The verdict is indeterminate and
-    the commutative determinant is computed exactly once."""
+    exact determinant -tau^K is a unit and -tau^-K adj is the exact inverse.
+    The verdict is "invertible" and the commutative determinant is computed
+    exactly once."""
     K = PREC
     _, kappa = trivial_group()
-    one = _poly(kappa, {0: {(): 1}}, K)
-    mx = NovikovMatrix([[_poly(kappa, {0: {(): 1}, 1: {(): -1}}, K), one],
-                        [one, _poly(kappa, {d: {(): 1} for d in range(K)}, K)]])
+
+    def relation_matrix(top):
+        one = _poly(kappa, {0: {(): 1}}, top)
+        return [[_poly(kappa, {0: {(): 1}, 1: {(): -1}}, top), one],
+                [one, _poly(kappa, {d: {(): 1} for d in range(K)}, top)]]
+
+    mx = NovikovMatrix(relation_matrix(K))
     det = det_commutative(upsilon_matrix(mx, 1))
     assert det == LaurentPolyGA.monomial(GroupAlgebraElem.one(kappa.group), K).scale(-1)
-    assert eliminate(mx).invertible == "indeterminate"
+    assert eliminate(mx).delta is None
+
+    # the entries have degree < K, so a wider top stores the same matrix
+    (a, b), (c, d) = wide = relation_matrix(3 * K)
+    inverse = [[-x.shift(-K) for x in row] for row in ((d, -b), (-c, a))]
+    one, zero = NovikovSeries.one(kappa, 2 * K), NovikovSeries.zero(kappa, 2 * K)
+    assert _matmul(wide, inverse) == [[one, zero], [zero, one]]
 
     p, rep = _feed_matrix(monkeypatch, mx)
     calls = _count_det_calls(monkeypatch)
     res = fibered_obstruction(p, [rep], K)
-    assert res.verdicts == ("indeterminate",)
-    assert res.summary == "inconclusive"
+    assert res.verdicts == ("invertible",)
+    assert res.summary == "no obstruction found: consistent-with-fibered"
     assert len(calls) == 1
     assert calls[0].entries == upsilon_matrix(mx, 1).entries
 
