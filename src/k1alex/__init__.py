@@ -2,7 +2,8 @@
 
 The pipeline: a meridian presentation of a knot group, a metabelian
 representation built from the torsion homology of a cyclic cover, the Fox
-Jacobian matrix over a truncated skew Novikov series ring, a Dieudonne-style
+Jacobian matrix over a truncated skew Novikov series ring (its derivatives
+taken straight into Z[H] by :func:`fox_image`), a Dieudonne-style
 elimination extracting a Witt-vector representative with its projected
 logarithms, and an untwisting map whose commutative determinant is the
 metafinite Alexander polynomial.  A fiberedness obstruction falls out of the
@@ -36,8 +37,8 @@ from .k1core import (
     build_fox_matrix,
     eliminate,
     fibered_obstruction,
+    fox_image,
     k1_invariant,
-    rep_image,
 )
 from .novikov import (
     DEFAULT_PRECISION,
@@ -75,10 +76,8 @@ from .upsilon import (
     upsilon_matrix,
 )
 from .words import (
-    FreeRingElem,
     Word,
     WordError,
-    fox_derivative,
     gen,
     reduce,
     substitute,

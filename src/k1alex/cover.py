@@ -19,7 +19,6 @@ from typing import Sequence
 
 from .grouprings import FiniteAbelianGroup, GroupAut, MetaRep
 from .presentation import MeridianPresentation, validate_rep
-from .words import fox_derivative
 
 
 class SNFError(RuntimeError):
@@ -196,17 +195,16 @@ def alexander_presentation(p: MeridianPresentation, cover_n: int) -> IntMatrix:
     """Integer relation matrix of the N-fold cyclic cover homology.
 
     Builds t * (dy_j/dx_i)^ab - (dz_j/dx_i)^ab over Z[t]/(t^N - 1), where the
-    abelianization sends every x_i to 1, then expands t by its regular
-    representation.  Row (j, l) is the t^l multiple of relation j; column
-    (i, k) is the generator e_i tensor t^k.
+    abelianization sends every x_i to 1, so (dw/dx_i)^ab is the exponent sum
+    of x_i in w (Fox), then expands t by its regular representation.  Row
+    (j, l) is the t^l multiple of relation j; column (i, k) is the generator
+    e_i tensor t^k.
     """
     if cover_n < 1:
         raise ValueError("cover degree must be >= 1")
     n = p.rank
-    y_ab = [[fox_derivative(p.y[j], i + 1).coefficient_sum() for i in range(n)]
-            for j in range(n)]
-    z_ab = [[fox_derivative(p.z[j], i + 1).coefficient_sum() for i in range(n)]
-            for j in range(n)]
+    y_ab = [[p.y[j].exponent_sum(i + 1) for i in range(n)] for j in range(n)]
+    z_ab = [[p.z[j].exponent_sum(i + 1) for i in range(n)] for j in range(n)]
     size = n * cover_n
     rows = [[0] * size for _ in range(size)]
     for j in range(n):

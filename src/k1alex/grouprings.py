@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterator, Mapping, Sequence
 
 Element = tuple[int, ...]
@@ -114,7 +115,8 @@ class GroupAut:
 
     The matrix acts on exponent columns: (kappa e)_i = sum_j M[i][j] e_j mod d_i.
     Construction checks that the map is well defined on the product of cyclic
-    factors and bijective, and caches the multiplicative order.
+    factors and bijective (at every group order), and caches the
+    multiplicative order.
     """
 
     __slots__ = ("group", "matrix", "_order", "_perms")
@@ -137,10 +139,21 @@ class GroupAut:
                     raise GroupError("matrix does not define a map on the group")
         self._order: int | None = None
         self._perms: dict[int, dict[Element, Element]] = {}
-        if group.order <= self._TABLE_LIMIT:
-            seen = {self._apply_once(e) for e in group.elements()}
-            if len(seen) != group.order:
-                raise GroupError("matrix is not bijective on the group")
+        # An endomorphism of a finite abelian p-group is onto iff it is onto
+        # mod p, and H/pH is spanned by the coordinates with p | d_i: kappa
+        # is bijective iff each such block is invertible mod p.
+        rest, p = (d[-1] if r else 1), 2
+        while rest > 1:
+            p = p if p * p <= rest else rest
+            if rest % p == 0:
+                idx = [i for i in range(r) if d[i] % p == 0]
+                block = [[Fraction(matrix[i][j]) for j in idx] for i in idx]
+                echelon(block, len(idx))  # diagonal product = +-det, 0 if singular
+                if prod(block[k][k] for k in range(len(idx))) % p == 0:
+                    raise GroupError("matrix is not bijective on the group")
+                while rest % p == 0:
+                    rest //= p
+            p += 1
 
     @classmethod
     def identity(cls, group: FiniteAbelianGroup) -> "GroupAut":

@@ -32,7 +32,7 @@ from .novikov import (
     witt_normalize,
 )
 from .presentation import MeridianPresentation, validate_rep
-from .words import FreeRingElem, fox_derivative
+from .words import Word
 
 
 class NovikovMatrix:
@@ -101,13 +101,26 @@ class K1Report:
         return all(s.witt_type for s in self.pivot_trace)
 
 
-def rep_image(rep: MetaRep, elem: FreeRingElem) -> GroupAlgebraElem:
-    """Push a free-group-ring element through the representation into Q[H]."""
+def fox_image(rep: MetaRep, w: Word, i: int) -> GroupAlgebraElem:
+    """rho(dw/dx_i) in Z[H], taken in one pass over the word.
+
+    rho applied to d(uv)/dx_i = du/dx_i + u dv/dx_i: each letter x_i adds
+    +rho(prefix before it), each x_i^-1 adds -rho(prefix through it).  The
+    word must be in x_1 .. x_rank; H is abelian, so rho(prefix) is the sum
+    of the letter images read so far.
+    """
     g = rep.group
+    step_image = {}
+    for k, img in enumerate(rep.images, 1):
+        step_image[k, 1], step_image[k, -1] = img, g.neg(img)
     out: dict = {}
-    for w, c in elem.terms.items():
-        e = rep.image_of_exponents([w.exponent_sum(i + 1) for i in range(rep.rank)])
-        out[e] = out.get(e, 0) + c
+    prefix = g.identity()
+    for letter in w.syllables():
+        after = g.add(prefix, step_image[letter])
+        if letter[0] == i:
+            e = prefix if letter[1] > 0 else after
+            out[e] = out.get(e, 0) + letter[1]
+        prefix = after
     return GroupAlgebraElem(g, out)
 
 
@@ -128,8 +141,8 @@ def build_fox_matrix(p: MeridianPresentation, rep: MetaRep,
     for j in range(n):
         row = []
         for i in range(n):
-            dy = rep_image(rep, fox_derivative(p.y[j], i + 1))
-            dz = rep_image(rep, fox_derivative(p.z[j], i + 1))
+            dy = fox_image(rep, p.y[j], i + 1)
+            dz = fox_image(rep, p.z[j], i + 1)
             terms = {}
             if not dy.is_zero():
                 terms[1] = dy.apply_aut(kappa)  # tau * a = kappa(a) tau

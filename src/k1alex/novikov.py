@@ -237,29 +237,25 @@ class WittVector(NovikovSeries):
 def ns_invert(a: NovikovSeries) -> NovikovSeries:
     """Two-sided inverse to the available precision.
 
-    Requires an invertible leading coefficient; the series is then
-    u tau^d (1 + eps) with eps supported in positive degrees, and the inverse
-    is the geometric series in -eps times (u tau^d)^-1.  A non-unit leading
-    coefficient raises: such a series may still be invertible in the Novikov
-    ring, but not by this route.
+    :func:`witt_normalize` factors a = (u tau^d) w; the Witt part inverts
+    by the recurrence b_0 = 1, b_n = -sum_{i<n} b_i kappa^i(w_{n-i}) (the
+    tau^n coefficient of b w = 1), O(K^2) coefficient products, and
+    a^-1 = w^-1 kappa^-d(u^-1) tau^-d.  A non-unit leading coefficient
+    raises: such a series may still be invertible in the Novikov ring, but
+    not by this route.
     """
-    if a.is_zero():
-        raise SeriesError("zero series has no inverse")
-    d, lead = a.leading()
-    u = gr_inverse(lead)
-    if u is None:
-        raise SeriesError("no leading-unit inverse: leading coefficient "
-                          f"({lead}) is not a unit of the group algebra")
-    # (u tau^d)^-1 = kappa^-d(u^-1) tau^-d
-    head_inv = NovikovSeries.monomial(a.kappa, u.apply_aut(a.kappa, -d), -d,
-                                      a.window)
-    eps = head_inv * a - NovikovSeries.one(a.kappa, a.window)
-    out = NovikovSeries.one(a.kappa, a.window)
-    term = (-eps).truncate(out.top)
-    while not term.is_zero():
-        out = out + term
-        term = (term * (-eps)).truncate(out.top)
-    return out * head_inv
+    lead, d, w = witt_normalize(a)
+    kappa = a.kappa
+    b = [w.coeffs[0]]
+    for n in range(1, w.top):
+        acc = GroupAlgebraElem.zero(a.group)
+        for i in range(n):
+            if b[i] and w.coeffs[n - i]:
+                acc = acc - b[i] * w.coeffs[n - i].apply_aut(kappa, i)
+        b.append(acc)
+    head_inv = NovikovSeries.monomial(kappa, gr_inverse(lead).apply_aut(kappa, -d),
+                                      -d, a.window)
+    return NovikovSeries(kappa, 0, tuple(b), w.top) * head_inv
 
 
 def witt_normalize(a: NovikovSeries) -> tuple[GroupAlgebraElem, int, WittVector]:

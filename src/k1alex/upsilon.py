@@ -221,8 +221,9 @@ def det_commutative(U: UpsilonMatrix) -> LaurentPolyGA:
                 e = row[j]
                 if e.is_zero():
                     continue
-                sign = -1 if bin(mask >> (j + 1)).count("1") % 2 else 1
-                term = (minor * e).scale(sign)
+                term = minor * e
+                if bin(mask >> (j + 1)).count("1") % 2:
+                    term = -term
                 if term.is_zero():
                     continue
                 key = mask | (1 << j)

@@ -1,4 +1,4 @@
-"""Free group words and the Fox free differential calculus.
+"""Free group words and substitution.
 
 Words live in the free group on generators x_1, ..., x_{2g} together with a
 distinguished meridian letter m.  A word is stored run-length compressed, as a
@@ -6,13 +6,9 @@ tuple of (generator, signed exponent) pairs with no adjacent pair sharing a
 generator and no zero exponent; the empty tuple is the identity.  Generators
 are small positive integers, the meridian is the reserved index 0.
 
-The Fox derivative d/dx_i is the Z-linear map on the group ring Z[F]
-determined by
-
-    d x_j / d x_i = delta_ij,     d(hk)/dx_i = dh/dx_i + h * dk/dx_i,
-
-from which d(x_i^-1)/dx_i = -x_i^-1 follows.  Derivatives are returned as
-:class:`FreeRingElem`, a finitely supported integer combination of words.
+There is no free group ring here: Fox derivatives are only ever used after
+the representation, so :func:`k1alex.k1core.fox_image` takes them straight
+into Z[H], and the cover homology reads exponent sums off the words.
 """
 
 from __future__ import annotations
@@ -115,83 +111,6 @@ def reduce(letters: Iterable[tuple[int, int]], rank: int | None = None) -> Word:
             if g != MERIDIAN and not 1 <= g <= rank:
                 raise WordError(f"generator x{g} out of range 1..{rank}")
     return Word(_compress(letters))
-
-
-class FreeRingElem:
-    """Finitely supported integer combination of words (an element of Z[F])."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Word, int] | None = None):
-        clean = {w: c for w, c in (terms or {}).items() if c}
-        self.terms: dict[Word, int] = clean
-
-    @classmethod
-    def zero(cls) -> "FreeRingElem":
-        return cls()
-
-    @classmethod
-    def of(cls, w: Word, coeff: int = 1) -> "FreeRingElem":
-        return cls({w: coeff})
-
-    def __add__(self, other: "FreeRingElem") -> "FreeRingElem":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return FreeRingElem(out)
-
-    def __neg__(self) -> "FreeRingElem":
-        return FreeRingElem({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "FreeRingElem") -> "FreeRingElem":
-        return self + (-other)
-
-    def __mul__(self, other: "FreeRingElem") -> "FreeRingElem":
-        out: dict[Word, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return FreeRingElem(out)
-
-    def word_multiply(self, w: Word, *, left: bool = True) -> "FreeRingElem":
-        if left:
-            return FreeRingElem({w * t: c for t, c in self.terms.items()})
-        return FreeRingElem({t * w: c for t, c in self.terms.items()})
-
-    def coefficient_sum(self) -> int:
-        """Image under the augmentation sending every word to 1."""
-        return sum(self.terms.values())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FreeRingElem) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*({w})" for w, c in self.terms.items())
-
-
-def fox_derivative(w: Word, target: int) -> FreeRingElem:
-    """Fox derivative of a word with respect to generator ``target``.
-
-    The meridian (index 0) is treated as one more free generator, so
-    derivatives of full relator words are available as well.
-    """
-    out: dict[Word, int] = {}
-    prefix = IDENTITY
-    for g, step in w.syllables():
-        if g == target:
-            if step > 0:
-                out[prefix] = out.get(prefix, 0) + 1
-            else:
-                t = prefix * gen(g, -1)
-                out[t] = out.get(t, 0) - 1
-        prefix = prefix * gen(g, step)
-    return FreeRingElem(out)
 
 
 def substitute(w: Word, images: Mapping[int, Word]) -> Word:

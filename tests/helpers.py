@@ -66,6 +66,22 @@ def rand_word(rng: random.Random, rank: int, max_len: int = 8) -> Word:
     return word(*letters)
 
 
+def fox_derivative_oracle(w: Word, i: int) -> dict[Word, int]:
+    """dw/dx_i in Z[F] as {word: coefficient}, from the defining rules alone:
+    dx_i/dx_i = 1, d(x_i^-1)/dx_i = -x_i^-1, other letters 0, and
+    d(uv) = du + u dv applied to the two halves of w."""
+    letters = list(w.syllables())
+    if len(letters) <= 1:
+        if not letters or letters[0][0] != i:
+            return {}
+        return {word(): 1} if letters[0][1] > 0 else {w: -1}
+    u, v = word(*letters[:len(letters) // 2]), word(*letters[len(letters) // 2:])
+    out = fox_derivative_oracle(u, i)
+    for t, c in fox_derivative_oracle(v, i).items():
+        out[u * t] = out.get(u * t, 0) + c
+    return {t: c for t, c in out.items() if c}
+
+
 # ---------------------------------------------------------------------------
 # independent series oracles (dict-based, no window machinery)
 # ---------------------------------------------------------------------------

@@ -464,9 +464,10 @@ def test_criterion_08_property_suites():
     import test_upsilon as tu
     import test_words as tw
 
-    tw.test_fox_fundamental_identity_random()   # 1000 words, length <= 30
+    tw.test_fox_fundamental_identity_random()   # 1000 words, length <= 30, in Z[H]
     tw.test_fox_product_rule_random()           # 500 pairs
     tw.test_fox_chain_rule_random()             # 500 substitution instances
+    tw.test_fox_image_matches_free_ring_oracle()  # 510 (word, rep) pairs
     tn.test_ring_axioms_random()                # twisted series ring axioms
     tn.test_inverse_random_suite()              # 500 leading-unit inversions
     tn.test_log_additivity_random_suite()       # 500 Witt pairs

@@ -6,6 +6,8 @@ import pytest
 
 from k1alex.cli import main
 
+from test_stabilization import STABILIZED_5_2
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -156,13 +158,86 @@ PINNED_JSON = {
      "precision": 24,
      "verdicts": {"2": "invertible", "3": "invertible"},
      "summary": "no obstruction found: consistent-with-fibered"},
+    # genus 2: Fox words with inverse letters, elimination inverting 4 pivots
+    "compute --presentation s5_2.txt --cover 3 --precision 10":
+    {"schema_version": 1,
+     "knot": "s5_2.txt",
+     "cover": 3,
+     "precision": 10,
+     "group": "Z/5 + Z/5",
+     "kappa": [[1, 1], [2, 3]],
+     "kappa_order": 3,
+     "images": ["y^3", "x^4*y^3", "1", "y"],
+     "free_rank": 0,
+     "invertible": "yes",
+     "delta": "(y^3 + x^2*y^4)*tau^-1 + (-13/11 - 4/11*y + 4/11*y^2 + 17/11*y^3 - "
+              "4/11*y^4 + 10/11*x + 1/11*x*y - 4/11*x*y^2 - 12/11*x*y^3 - "
+              "6/11*x*y^4 - 6/11*x^2 + 9/11*x^2*y + 3/11*x^2*y^2 + 1/11*x^2*y^3 - "
+              "7/11*x^2*y^4 - 16/11*x^3*y - 12/11*x^3*y^2 + 3/11*x^3*y^3 + "
+              "3/11*x^3*y^4 + 1/11*x^4 + x^4*y + 2/11*x^4*y^2 - 15/11*x^4*y^3 + "
+              "1/11*x^4*y^4) + (-3/11 + 3/11*y - 3/11*y^2 - 12/11*y^3 + 5/11*y^4 + "
+              "1/11*x + 5/11*x*y + 15/11*x*y^2 + 14/11*x*y^3 - 8/11*x*y^4 + "
+              "14/11*x^2 - x^2*y^2 - 6/11*x^2*y^3 + 6/11*x^2*y^4 - 6/11*x^3 - "
+              "6/11*x^3*y + 3/11*x^3*y^2 - 4/11*x^3*y^3 - 5/11*x^3*y^4 + 9/11*x^4 "
+              "- 8/11*x^4*y - 6/11*x^4*y^2 + 2*x^4*y^3 + 3/11*x^4*y^4)*tau + "
+              "(-2/11 - 10/11*y - 2/11*y^2 + y^3 + 3/11*y^4 + 16/11*x*y + "
+              "7/11*x*y^2 - 6/11*x*y^3 + 5/11*x*y^4 + 2/11*x^2 - 7/11*x^2*y + "
+              "3/11*x^2*y^2 - 6/11*x^2*y^3 - 3/11*x^2*y^4 - 13/11*x^3*y - "
+              "9/11*x^3*y^2 + 15/11*x^3*y^3 + 7/11*x^3*y^4 - 10/11*x^4 + "
+              "7/11*x^4*y + 6/11*x^4*y^2 - 5/11*x^4*y^3 - 9/11*x^4*y^4)*tau^2 + "
+              "(-1 + 98/121*y + 79/121*y^2 + 16/121*y^3 - 171/121*y^4 + 196/121*x "
+              "- 1/11*x*y + 62/121*x*y^2 - 36/121*x*y^3 + 141/121*x*y^4 + "
+              "4/121*x^2 + 140/121*x^2*y - 217/121*x^2*y^2 - 166/121*x^2*y^3 - "
+              "58/121*x^2*y^4 - 86/121*x^3 - 244/121*x^3*y + 41/121*x^3*y^2 + "
+              "167/121*x^3*y^3 + 89/121*x^3*y^4 + 12/121*x^4 + 59/121*x^4*y + "
+              "49/121*x^4*y^2 - 57/121*x^4*y^3 + 14/121*x^4*y^4)*tau^3 + (191/121 "
+              "+ 134/121*y + 75/121*y^2 + 24/121*y^3 + 184/121*y^4 - 13/121*x - "
+              "30/121*x*y + 26/121*x*y^2 + 23/121*x*y^3 - 46/121*x*y^4 - "
+              "48/121*x^2 - 79/121*x^2*y - 10/11*x^2*y^2 - x^2*y^3 + 4/121*x^2*y^4 "
+              "+ 95/121*x^3 - 84/121*x^3*y - 40/121*x^3*y^2 + 108/121*x^3*y^3 + "
+              "43/121*x^3*y^4 - 211/121*x^4 - 6/121*x^4*y + 20/121*x^4*y^2 + "
+              "15/121*x^4*y^3 - 14/11*x^4*y^4)*tau^4 + (146/121 + 79/121*y - "
+              "63/121*y^2 - 71/121*y^3 - 58/121*y^4 - 199/121*x*y + 9/121*x*y^2 - "
+              "28/121*x*y^3 + 141/121*x*y^4 - 2/121*x^2 + 90/121*x^2*y - "
+              "31/121*x^2*y^2 + 120/121*x^2*y^3 - 78/121*x^2*y^4 - 122/121*x^3 - "
+              "291/121*x^3*y - 75/121*x^3*y^2 + 104/121*x^3*y^3 + 32/121*x^3*y^4 - "
+              "189/121*x^4 + 247/121*x^4*y + 282/121*x^4*y^2 + 3/11*x^4*y^3 - "
+              "76/121*x^4*y^4)*tau^5 + (2944/1331 + 1775/1331*y + 2063/1331*y^2 - "
+              "2127/1331*y^3 - 1685/1331*y^4 - 728/1331*x - 1570/1331*x*y - "
+              "4542/1331*x*y^2 - 700/1331*x*y^3 + 3877/1331*x*y^4 + 62/121*x^2 - "
+              "515/1331*x^2*y - 510/1331*x^2*y^2 + 529/1331*x^2*y^3 - "
+              "1924/1331*x^2*y^4 - 2966/1331*x^3 - 250/121*x^3*y + "
+              "2780/1331*x^3*y^2 + 875/1331*x^3*y^3 + 1720/1331*x^3*y^4 + "
+              "663/1331*x^4 + 3702/1331*x^4*y - 182/1331*x^4*y^2 + "
+              "607/1331*x^4*y^3 - 2018/1331*x^4*y^4)*tau^6 + (2004/1331 + "
+              "2641/1331*y - 1061/1331*y^2 - 2899/1331*y^3 + 633/1331*y^4 + "
+              "665/1331*x - 3427/1331*x*y - 1850/1331*x*y^2 + 1365/1331*x*y^3 + "
+              "355/1331*x*y^4 - 3860/1331*x^2 - 1860/1331*x^2*y + 82/1331*x^2*y^2 "
+              "- 60/121*x^2*y^3 - 58/121*x^2*y^4 + 1889/1331*x^3 + 1154/1331*x^3*y "
+              "- 252/1331*x^3*y^2 + 848/1331*x^3*y^3 - 215/1331*x^3*y^4 - "
+              "95/121*x^4 + 423/1331*x^4*y + 3051/1331*x^4*y^2 + 2194/1331*x^4*y^3 "
+              "+ 463/1331*x^4*y^4)*tau^7 + O(tau^8)",
+     "delta_unit": "(y^3 + x^2*y^4)*tau^-1",
+     "logs": {"3": "-5/8*[1] + 1/8*[y] + 1/8*[y^2] + 1/8*[y^3] + 1/8*[y^4] + "
+                   "1/8*[x] + 1/8*[x*y] + 1/8*[x^2*y^2] + 1/8*[x^3]",
+              "6": "-121/384*[1] + 7/128*[y] + 7/128*[y^2] + 7/128*[y^3] + "
+                   "7/128*[y^4] + 7/128*[x] + 7/128*[x*y] + 7/128*[x^2*y^2] + "
+                   "7/128*[x^3]"},
+     "metafinite_poly": "(2 + y^2 + y^3 + x^2*y + x^2*y^3 + x^3*y^2 + "
+                        "x^3*y^4)*t^-3 + (-3 + y - y^2 - y^3 + y^4 + x + x*y + "
+                        "x*y^2 + x*y^3 + x*y^4 + x^2 - x^2*y + x^2*y^2 - x^2*y^3 + "
+                        "x^2*y^4 + x^3 + x^3*y - x^3*y^2 + x^3*y^3 - x^3*y^4 + x^4 "
+                        "+ x^4*y + x^4*y^2 + x^4*y^3 + x^4*y^4) + (2 + y^2 + y^3 + "
+                        "x^2*y + x^2*y^3 + x^3*y^2 + x^3*y^4)*t^3"},
 }
 
 
 @pytest.mark.parametrize("command", list(PINNED_JSON),
-                         ids=["3_1-N6", "5_2-N3", "fibered-5_2"])
-def test_json_output_pinned(capsys, monkeypatch, command):
+                         ids=["3_1-N6", "5_2-N3", "fibered-5_2", "s5_2-N3"])
+def test_json_output_pinned(capsys, monkeypatch, tmp_path, command):
     monkeypatch.delenv("K1ALEX_PRECISION", raising=False)
+    (tmp_path / "s5_2.txt").write_text(STABILIZED_5_2)
+    monkeypatch.chdir(tmp_path)  # the report names the file by its basename
     code, out, _ = run(capsys, *command.split(), "--format", "json")
     assert code == 0
     assert out == json.dumps(PINNED_JSON[command], indent=2) + "\n"

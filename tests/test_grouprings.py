@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -114,6 +115,35 @@ def test_aut_rejects_non_bijective():
     H = FiniteAbelianGroup([4])
     with pytest.raises(GroupError):
         GroupAut(H, [[2]])
+
+
+def test_aut_bijectivity_checked_at_every_order():
+    # |H| = 10201 is past the permutation-table limit
+    H = FiniteAbelianGroup([101, 101])
+    with pytest.raises(GroupError, match="matrix is not bijective on the group"):
+        GroupAut(H, [[1, 0], [0, 0]])
+    assert GroupAut(H, [[1, 1], [0, 1]]).order == 101
+    # det 3 on Z/6 x Z/6: invertible mod 2, singular mod 3
+    with pytest.raises(GroupError, match="not bijective"):
+        GroupAut(FiniteAbelianGroup([6, 6]), [[1, 1], [1, 4]])
+
+
+def test_aut_bijectivity_matches_enumeration():
+    rng = random.Random(12)
+    for divisors in ([4], [12], [2, 4], [3, 6], [2, 2], [2, 12], [3, 9]):
+        H = FiniteAbelianGroup(divisors)
+        r = H.rank
+        for _ in range(40):
+            m = [[rng.randrange(13) * (divisors[i] // gcd(divisors[i], divisors[j]))
+                  for j in range(r)] for i in range(r)]
+            image = {tuple(sum(m[i][j] * e[j] for j in range(r)) % divisors[i]
+                           for i in range(r)) for e in H.elements()}
+            try:
+                GroupAut(H, m)
+                accepted = True
+            except GroupError:
+                accepted = False
+            assert accepted == (len(image) == H.order)
 
 
 def test_gr_is_unit_examples():

@@ -18,17 +18,17 @@ from k1alex import (
     det_commutative,
     eliminate,
     fibered_obstruction,
+    fox_image,
     is_unit_laurent,
     k1_invariant,
     metabelian_rep,
     ns_invert,
-    rep_image,
     trivial_rep,
     upsilon_matrix,
     witt_normalize,
 )
 from k1alex.grouprings import MetaRep
-from k1alex.words import FreeRingElem, gen
+from k1alex.words import gen
 
 from helpers import (
     oracle_logs,
@@ -51,16 +51,21 @@ def _poly(kappa, terms, top=PREC):
         kappa, {d: GroupAlgebraElem(kappa.group, c) for d, c in terms.items()}, top)
 
 
-def test_rep_image_pushforward():
+def test_fox_image_example():
+    # w = x1 x2^2 x1^-1 x2^-1.  d/dx2: the two x2 letters add +rho(x1) and
+    # +rho(x1 x2), and x2^-1 adds -rho(w) = -rho(x2) (H is abelian).  d/dx1:
+    # x1 adds +1 and x1^-1 adds -rho(x1 x2^2 x1^-1) = -rho(x2)^2.
     p = builtin("4_1")
     rep = metabelian_rep(p, 2)
-    e = FreeRingElem.of(gen(1) * gen(2), 2) + FreeRingElem.of(gen(2, -1), -1)
-    img = rep_image(rep, e)
     g = rep.group
-    expected = GroupAlgebraElem(g, {
-        g.add(rep.images[0], rep.images[1]): Fraction(2),
-        g.neg(rep.images[1]): Fraction(-1)})
-    assert img == expected
+    a, b = rep.images
+    w = gen(1) * gen(2, 2) * gen(1, -1) * gen(2, -1)
+
+    def el(e, c=1):
+        return GroupAlgebraElem.of(g, e, c)
+
+    assert fox_image(rep, w, 2) == el(a) + el(g.add(a, b)) + el(b, -1)
+    assert fox_image(rep, w, 1) == el(g.identity()) + el(g.scale(b, 2), -1)
 
 
 def test_build_matrix_trefoil_trivial():

@@ -1,13 +1,22 @@
-"""Free-group word arithmetic and the Fox differential calculus."""
+"""Free-group word arithmetic and Fox derivatives pushed into Z[H]."""
 
 import random
 
 import pytest
 
-from k1alex import FreeRingElem, WordError, fox_derivative, gen, reduce, word
+from k1alex import (
+    FiniteAbelianGroup,
+    GroupAlgebraElem,
+    GroupAut,
+    MetaRep,
+    WordError,
+    fox_image,
+    gen,
+    reduce,
+)
 from k1alex.words import IDENTITY, substitute
 
-from helpers import rand_word
+from helpers import fox_derivative_oracle, rand_element, rand_word
 
 x1, x2, x3 = gen(1), gen(2), gen(3)
 
@@ -47,58 +56,84 @@ def test_word_group_axioms_random():
         assert a.inverse().inverse() == a
 
 
+def _reps(rng):
+    """Representations of rank 3 into Z/5, Z/12 and (Z/4)^2, seeded images."""
+    out = []
+    for divisors in ([5], [12], [4, 4]):
+        H = FiniteAbelianGroup(divisors)
+        images = tuple(rand_element(rng, H) for _ in range(3))
+        out.append(MetaRep(H, GroupAut.identity(H), images, 1))
+    return out
+
+
+def _rho(rep, w):
+    """rho(w) as an element of Z[H]."""
+    exps = [w.exponent_sum(k) for k in (1, 2, 3)]
+    return GroupAlgebraElem.of(rep.group, rep.image_of_exponents(exps))
+
+
 def test_fox_derivative_base_cases():
-    assert fox_derivative(x1, 1) == FreeRingElem.of(IDENTITY)
-    assert fox_derivative(x1, 2) == FreeRingElem.zero()
-    assert fox_derivative(x1 * x2, 2) == FreeRingElem.of(x1)
-    assert fox_derivative(gen(1, -1), 1) == FreeRingElem.of(gen(1, -1), -1)
+    for rep in _reps(random.Random(5)):
+        one = GroupAlgebraElem.one(rep.group)
+        assert fox_image(rep, IDENTITY, 1).is_zero()
+        assert fox_image(rep, x1, 1) == one
+        assert fox_image(rep, x1, 2).is_zero()
+        assert fox_image(rep, x1 * x2, 2) == _rho(rep, x1)
+        assert fox_image(rep, gen(1, -1), 1) == -_rho(rep, gen(1, -1))
+        assert fox_image(rep, gen(1, 3), 1) == one + _rho(rep, x1) + _rho(rep, gen(1, 2))
 
 
-def test_fox_derivative_of_meridian_letter():
-    w = word((0, 1), (1, 1), (0, -1))  # m x1 m^-1
-    assert fox_derivative(w, 0) == (FreeRingElem.of(IDENTITY)
-                                    + FreeRingElem.of(word((0, 1), (1, 1), (0, -1)), -1))
-    assert fox_derivative(w, 1) == FreeRingElem.of(gen(0))
-
-
-def _fundamental_defect(w, rank):
-    # sum_i dw/dx_i * (x_i - 1) - (w - 1) must vanish identically
-    total = FreeRingElem.zero()
-    for i in range(1, rank + 1):
-        d = fox_derivative(w, i)
-        total = total + d * (FreeRingElem.of(gen(i)) - FreeRingElem.of(IDENTITY))
-    return total - (FreeRingElem.of(w) - FreeRingElem.of(IDENTITY))
+def test_fox_image_matches_free_ring_oracle():
+    rng = random.Random(6)
+    for _ in range(170):
+        for rep in _reps(rng):
+            w = rand_word(rng, 3, max_len=20)
+            for i in (1, 2, 3):
+                expected = GroupAlgebraElem.zero(rep.group)
+                for t, c in fox_derivative_oracle(w, i).items():
+                    expected = expected + _rho(rep, t).scale(c)
+                assert fox_image(rep, w, i) == expected
 
 
 def test_fox_fundamental_identity_random():
+    # sum_i rho(dw/dx_i) * (rho(x_i) - 1) = rho(w) - 1
     rng = random.Random(2)
-    for _ in range(1000):
+    reps = _reps(rng)
+    for n in range(1000):
+        rep = reps[n % 3]
+        one = GroupAlgebraElem.one(rep.group)
         w = rand_word(rng, 3, max_len=30)
-        assert not _fundamental_defect(w, 3)
+        total = GroupAlgebraElem.zero(rep.group)
+        for i in (1, 2, 3):
+            total = total + fox_image(rep, w, i) * (_rho(rep, gen(i)) - one)
+        assert total == _rho(rep, w) - one
 
 
 def test_fox_product_rule_random():
     rng = random.Random(3)
-    for _ in range(500):
+    reps = _reps(rng)
+    for n in range(500):
+        rep = reps[n % 3]
         h, k = rand_word(rng, 3, 12), rand_word(rng, 3, 12)
         for i in (1, 2, 3):
-            lhs = fox_derivative(h * k, i)
-            rhs = fox_derivative(h, i) + fox_derivative(k, i).word_multiply(h)
-            assert lhs == rhs
+            rhs = fox_image(rep, h, i) + _rho(rep, h) * fox_image(rep, k, i)
+            assert fox_image(rep, h * k, i) == rhs
 
 
 def test_fox_chain_rule_random():
+    # rho(d(phi y)/dx_i) = sum_k (rho phi)(dy/dx_k) * rho(d phi(x_k)/dx_i)
     rng = random.Random(4)
-    for _ in range(500):
-        sub = {i: rand_word(rng, 3, 5) for i in (1, 2, 3)}
+    reps = _reps(rng)
+    for n in range(500):
+        rep = reps[n % 3]
+        sub = {k: rand_word(rng, 3, 5) for k in (1, 2, 3)}
+        pulled = MetaRep(rep.group, rep.kappa,
+                         tuple(rep.image_of_exponents([sub[k].exponent_sum(j)
+                                                       for j in (1, 2, 3)])
+                               for k in (1, 2, 3)), 1)
         y = rand_word(rng, 3, 8)
         for i in (1, 2, 3):
-            lhs = fox_derivative(substitute(y, sub), i)
-            rhs = FreeRingElem.zero()
+            rhs = GroupAlgebraElem.zero(rep.group)
             for k in (1, 2, 3):
-                outer = FreeRingElem.zero()
-                for w, c in fox_derivative(y, k).terms.items():
-                    outer = outer + FreeRingElem.of(substitute(w, sub), c)
-                rhs = rhs + outer * fox_derivative(sub[k], i)
-            assert lhs == rhs
-
+                rhs = rhs + fox_image(pulled, y, k) * fox_image(rep, sub[k], i)
+            assert fox_image(rep, substitute(y, sub), i) == rhs
