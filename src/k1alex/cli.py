@@ -50,7 +50,7 @@ def _load_presentation(args) -> MeridianPresentation:
         try:
             return builtin(args.knot)
         except KeyError as exc:
-            raise CliError(str(exc), EXIT_PARSE) from exc
+            raise CliError(exc.args[0], EXIT_PARSE) from exc
     path = getattr(args, "presentation", None)
     if not path:
         raise CliError("one of --knot or --presentation is required", EXIT_PARSE)

@@ -170,17 +170,24 @@ class GroupAut:
         return self._apply_power(e, power)
 
     def _table(self, power: int) -> dict[Element, Element] | None:
-        """Tabulated kappa^power (small groups only)."""
+        """Tabulated kappa^power (small groups only).
+
+        kappa is tabulated once; kappa^p is the table of kappa^(p-1) composed
+        with it, filling the missing lower powers upward from the highest
+        cached one, so any request order costs |H| applications in all.
+        """
         if self.group.order > self._TABLE_LIMIT:
             return None
-        table = self._perms.get(power)
+        perms = self._perms
+        table = perms.get(power)
         if table is None:
-            prev = self._perms.get(power - 1) if power > 1 else None
-            if prev is None:
-                table = {e: self._apply_power(e, power) for e in self.group.elements()}
-            else:
-                table = {e: self._apply_once(v) for e, v in prev.items()}
-            self._perms[power] = table
+            if 1 not in perms:
+                perms[1] = {e: self._apply_once(e) for e in self.group.elements()}
+            once = perms[1]
+            p = max(q for q in perms if q <= power)
+            table = perms[p]
+            for q in range(p + 1, power + 1):
+                table = perms[q] = {e: once[v] for e, v in table.items()}
         return table
 
     def _apply_power(self, e: Element, power: int) -> Element:

@@ -13,9 +13,16 @@ division-free determinant over Q[H][t, t^-1] yields the metafinite Alexander
 polynomial, well defined up to unit monomials c * t^a * h.
 
 Q[H] has zero divisors, so the determinant uses a division-free minor
-expansion (memoized over column subsets, which also exploits the sparsity of
-the blocks); invertibility of a Laurent polynomial over Q[H]((t)) is decided
-exactly by a rank of rational regular representations.
+expansion, memoized over the sets of used columns.  The number of live sets
+depends only on the order the rows are visited in.  A relation entry
+a + b tau maps to a block with two cyclic diagonals, one of which wraps
+around a corner, so visiting Upsilon block by block keeps every block's
+columns open across its N rows and the table grows exponentially in N.
+The rows are instead taken greedily by the fewest open columns, which
+interleaves the n blocks so that they advance together, a row of each in
+turn; column sets that miss a column no later row can fill are dropped.
+The width then stays bounded in N.  Invertibility of a Laurent polynomial over
+Q[H]((t)) is decided exactly by a rank of rational regular representations.
 """
 
 from __future__ import annotations
@@ -198,41 +205,91 @@ def upsilon_matrix(mx: NovikovMatrix, period: int | None = None) -> UpsilonMatri
     return UpsilonMatrix(big, group, N)
 
 
+def _row_order(supports: Sequence[int]) -> tuple[list[int], int]:
+    """Greedy row order for the subset DP, from the rows' column bitmasks,
+    and the sign of that permutation.
+
+    A column is open once a taken row touches it while an untaken row is
+    still nonzero in it.  The next row is the one leaving the fewest open
+    columns; ties go to the lowest index.
+    """
+    untaken = list(range(len(supports)))
+    order: list[int] = []
+    touched = inversions = 0
+    while untaken:
+        best = best_open = -1
+        for i, r in enumerate(untaken):
+            live = 0
+            for s in untaken:
+                if s != r:
+                    live |= supports[s]
+            n_open = ((touched | supports[r]) & live).bit_count()
+            if best < 0 or n_open < best_open:
+                best, best_open = i, n_open
+        # the untaken rows before the chosen one each make an inversion
+        inversions += best
+        order.append(untaken.pop(best))
+        touched |= supports[order[-1]]
+    return order, -1 if inversions % 2 else 1
+
+
 def det_commutative(U: UpsilonMatrix) -> LaurentPolyGA:
     """Exact determinant over Q[H][t, t^-1], division free.
 
     Minor expansion across rows with memoization over the set of used
-    columns: no divisions ever occur, so zero divisors in Q[H] are harmless,
-    and the subset table stays small because the untwisted blocks are sparse.
-    Multiplicative and alternating like any determinant.
+    columns: no divisions ever occur, so zero divisors in Q[H] are harmless.
+    The table holds one minor per live column set, so its width depends on
+    the order the rows are visited in.  That order is chosen greedily from
+    the zero pattern (:func:`_row_order`), and the result is multiplied by
+    its sign.  Walking Upsilon block by block would keep every N x N cyclic
+    block open across its N rows (tau^1 wraps around a corner) and the
+    width would grow exponentially in N; the greedy order interleaves the n
+    blocks, taking a row of each in turn, so only a band of columns of
+    bounded width is open at a time.  A column set is dropped as soon as it
+    misses a column no later row can fill, and a zero column gives zero at
+    once.  Multiplicative and alternating like any determinant.
     """
     n = U.size
     group = U.group
+    zero = LaurentPolyGA.zero(group)
     if n == 0:
         return LaurentPolyGA.one(group)
+    rows = [[(j, e) for j, e in enumerate(row) if not e.is_zero()]
+            for row in U.entries]
+    supports = [sum(1 << j for j, _ in row) for row in rows]
+    full = (1 << n) - 1
+    order, sign = _row_order(supports)
+    # fillable[k]: columns some row at position >= k of the order touches
+    fillable = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        fillable[k] = fillable[k + 1] | supports[order[k]]
+    if fillable[0] != full:
+        return zero
     frontier: dict[int, LaurentPolyGA] = {0: LaurentPolyGA.one(group)}
-    for r in range(n):
-        row = U.entries[r]
+    for k, r in enumerate(order):
+        # a column set must already hold every column the rest cannot fill
+        must = full & ~fillable[k + 1]
         nxt: dict[int, LaurentPolyGA] = {}
         for mask, minor in frontier.items():
-            for j in range(n):
-                if mask & (1 << j):
+            for j, e in rows[r]:
+                bit = 1 << j
+                if mask & bit:
                     continue
-                e = row[j]
-                if e.is_zero():
+                key = mask | bit
+                if key & must != must:
                     continue
                 term = minor * e
-                if bin(mask >> (j + 1)).count("1") % 2:
-                    term = -term
                 if term.is_zero():
                     continue
-                key = mask | (1 << j)
+                if (mask >> (j + 1)).bit_count() & 1:
+                    term = -term
                 acc = nxt.get(key)
                 nxt[key] = term if acc is None else acc + term
         frontier = {m: p for m, p in nxt.items() if not p.is_zero()}
         if not frontier:
-            return LaurentPolyGA.zero(group)
-    return frontier.get((1 << n) - 1, LaurentPolyGA.zero(group))
+            return zero
+    det = frontier.get(full, zero)
+    return det if sign > 0 else -det
 
 
 def canonical_form(p: LaurentPolyGA) -> LaurentPolyGA:

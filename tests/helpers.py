@@ -14,12 +14,32 @@ from k1alex import (
     FiniteAbelianGroup,
     GroupAlgebraElem,
     GroupAut,
+    LaurentPolyGA,
     LogClass,
+    UpsilonMatrix,
     Word,
     gr_is_unit,
     orbit_project,
     word,
 )
+
+
+# Genus-2 presentations: 4_1 and 5_2 with a trivial handle added.
+STABILIZED_4_1 = """\
+genus 2
+y1 = x1 x2 ; z1 = x1
+y2 = x2 x1 x2 ; z2 = x2
+y3 = x1 x4 ; z3 = x2
+y4 = 1 ; z4 = x3
+"""
+
+STABILIZED_5_2 = """\
+genus 2
+y1 = x1^-2 ; z1 = x2 x1^-2
+y2 = x1^-1 x2 ; z2 = x2
+y3 = x2^-1 x4 ; z3 = x1 x2
+y4 = 1 ; z4 = x3
+"""
 
 
 def z5_negation():
@@ -181,3 +201,37 @@ def figure8_trace(k: int) -> int:
     for _ in range(k - 1):
         a, b = b, 3 * b - a
     return b
+
+
+def det_subset_dp_oracle(U: UpsilonMatrix) -> LaurentPolyGA:
+    """Determinant of an UpsilonMatrix by the plain subset DP, the oracle for
+    det_commutative: rows in natural order, every column set kept, no
+    pruning.  Exponential width on Upsilon's cyclic blocks; small cases only.
+    """
+    n = U.size
+    group = U.group
+    if n == 0:
+        return LaurentPolyGA.one(group)
+    frontier: dict[int, LaurentPolyGA] = {0: LaurentPolyGA.one(group)}
+    for r in range(n):
+        row = U.entries[r]
+        nxt: dict[int, LaurentPolyGA] = {}
+        for mask, minor in frontier.items():
+            for j in range(n):
+                if mask & (1 << j):
+                    continue
+                e = row[j]
+                if e.is_zero():
+                    continue
+                term = minor * e
+                if bin(mask >> (j + 1)).count("1") % 2:
+                    term = -term
+                if term.is_zero():
+                    continue
+                key = mask | (1 << j)
+                acc = nxt.get(key)
+                nxt[key] = term if acc is None else acc + term
+        frontier = {m: p for m, p in nxt.items() if not p.is_zero()}
+        if not frontier:
+            return LaurentPolyGA.zero(group)
+    return frontier.get((1 << n) - 1, LaurentPolyGA.zero(group))

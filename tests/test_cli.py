@@ -289,7 +289,9 @@ def test_fibered_subcommand(capsys):
 def test_unknown_knot_exits_2(capsys):
     code, _, err = run(capsys, "compute", "--knot", "9_99", "--cover", "2")
     assert code == 2
-    assert "unknown knot" in err
+    # the KeyError's message, not its repr in quotes
+    assert err == ("k1alex: unknown knot '9_99'; "
+                   "available: ['3_1', '4_1', '5_2']\n")
 
 
 def test_bad_presentation_file_exits_2(tmp_path, capsys):

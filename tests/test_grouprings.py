@@ -111,6 +111,32 @@ def test_aut_order():
     assert GroupAut.identity(H).order == 1
 
 
+def test_aut_tables_compose_from_the_cached_chain(monkeypatch):
+    # (16, 24) have order 7 mod 29; the upper-right 8 mixes the coordinates
+    H = FiniteAbelianGroup([29, 29])
+    kappa = GroupAut(H, [[16, 8], [0, 24]])
+    assert kappa.order == 7
+    calls = [0]
+    once = GroupAut._apply_once
+
+    def counting(self, e):
+        calls[0] += 1
+        return once(self, e)
+
+    monkeypatch.setattr(GroupAut, "_apply_once", counting)
+    # descending, the order untwisting asks in
+    tables = {p: kappa._table(p) for p in range(kappa.order - 1, 0, -1)}
+    assert calls[0] <= 2 * H.order
+    monkeypatch.undo()
+    for p, table in tables.items():
+        assert all(table[e] == kappa._apply_power(e, p) for e in H.elements())
+    # any other request order gives the same tables
+    rng = random.Random(7)
+    other = GroupAut(H, kappa.matrix)
+    for p in rng.sample(range(1, 7), 6):
+        assert other._table(p) == tables[p]
+
+
 def test_aut_rejects_non_bijective():
     H = FiniteAbelianGroup([4])
     with pytest.raises(GroupError):

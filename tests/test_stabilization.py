@@ -31,21 +31,7 @@ from k1alex import (
     validate_rep,
 )
 
-STABILIZED_4_1 = """\
-genus 2
-y1 = x1 x2 ; z1 = x1
-y2 = x2 x1 x2 ; z2 = x2
-y3 = x1 x4 ; z3 = x2
-y4 = 1 ; z4 = x3
-"""
-
-STABILIZED_5_2 = """\
-genus 2
-y1 = x1^-2 ; z1 = x2 x1^-2
-y2 = x1^-1 x2 ; z2 = x2
-y3 = x2^-1 x4 ; z3 = x1 x2
-y4 = 1 ; z4 = x3
-"""
+from helpers import STABILIZED_4_1, STABILIZED_5_2
 
 
 def _transport_to_stabilized(stab, base_rep):

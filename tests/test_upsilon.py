@@ -20,6 +20,7 @@ from k1alex import (
     k1_invariant,
     metabelian_rep,
     metafinite_polynomial,
+    parse_presentation,
     poly_equiv,
     trivial_rep,
     upsilon_elem,
@@ -27,6 +28,9 @@ from k1alex import (
 )
 
 from helpers import (
+    STABILIZED_4_1,
+    STABILIZED_5_2,
+    det_subset_dp_oracle,
     rand_ga,
     rand_unit_ga,
     trivial_group,
@@ -188,6 +192,92 @@ def test_det_row_swap_changes_sign():
     A = UpsilonMatrix(rows, H, 1)
     B = UpsilonMatrix([rows[1], rows[0], rows[2]], H, 1)
     assert det_commutative(B) == det_commutative(A).scale(-1)
+
+
+def _sign(perm):
+    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                     if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def _check_against_oracle(U: UpsilonMatrix, rng, shuffles: int) -> LaurentPolyGA:
+    """det_commutative equals the oracle on U and, up to the permutation's
+    sign, on U with its rows shuffled."""
+    expected = det_subset_dp_oracle(U)
+    assert det_commutative(U) == expected
+    for _ in range(shuffles):
+        perm = list(range(U.size))
+        rng.shuffle(perm)
+        shuffled = UpsilonMatrix([U.entries[i] for i in perm], U.group, U.period)
+        assert det_commutative(shuffled) == expected.scale(_sign(perm))
+    return expected
+
+
+def _sparse_matrix(rng, H, n) -> UpsilonMatrix:
+    """Sparse n x n matrix over Q[H][t, t^-1] that may carry zero rows, zero
+    columns, repeated rows and zero-divisor entries (1 +- h, h of order 2)."""
+    one = GroupAlgebraElem.one(H)
+    halves = [one + GroupAlgebraElem.of(H, h).scale(s)
+              for h in H.elements() if h != H.identity() for s in (1, -1)]
+    zero = LaurentPolyGA.zero(H)
+
+    def entry():
+        if rng.random() < 0.6:
+            return zero
+        coeff = rand_ga(rng, H, max_terms=2)
+        if rng.random() < 0.3:
+            coeff = rng.choice(halves) * coeff
+        return LaurentPolyGA.monomial(coeff, rng.randint(-1, 2))
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.2:
+        rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+    if rng.random() < 0.1:
+        rows[rng.randrange(n)] = [zero] * n
+    if rng.random() < 0.1:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = zero
+    return UpsilonMatrix(rows, H, 1)
+
+
+def test_det_matches_subset_dp_oracle_on_sparse_matrices():
+    rng = random.Random(90)
+    H = FiniteAbelianGroup([2, 2])
+    nonzero = 0
+    for _ in range(200):
+        U = _sparse_matrix(rng, H, rng.randint(1, 10))
+        nonzero += not _check_against_oracle(U, rng, shuffles=1).is_zero()
+    assert 20 <= nonzero <= 180  # both outcomes are exercised
+
+
+_STABILIZED = {"s4_1": STABILIZED_4_1, "s5_2": STABILIZED_5_2}
+
+
+@pytest.mark.parametrize("name,n", [("3_1", 9), ("5_2", 6), ("4_1", 7)]
+                         + [(s, n) for s in _STABILIZED for n in (3, 4, 6)])
+def test_det_matches_subset_dp_oracle_on_bench_covers(name, n):
+    p = (parse_presentation(_STABILIZED[name], name=name) if name in _STABILIZED
+         else builtin(name))
+    U = upsilon_matrix(build_fox_matrix(p, metabelian_rep(p, n), precision=4), n)
+    assert not _check_against_oracle(U, random.Random(n), shuffles=3).is_zero()
+
+
+def test_det_width_is_polynomial_on_trefoil_cover(monkeypatch):
+    # Natural row order keeps each 12 x 12 cyclic block open across its rows
+    # and multiplies 535,858 times; the greedy order needs 137.
+    p = builtin("3_1")
+    U = upsilon_matrix(build_fox_matrix(p, metabelian_rep(p, 12), precision=4), 12)
+    calls = [0]
+    mul = LaurentPolyGA.__mul__
+
+    def counting(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPolyGA, "__mul__", counting)
+    assert not det_commutative(U).is_zero()
+    assert calls[0] <= 1000
 
 
 def test_trefoil_sixfold_determinant():
