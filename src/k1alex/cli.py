@@ -147,6 +147,9 @@ def cmd_fibered(args) -> int:
         raise CliError(f"bad --covers list: {args.covers!r}", EXIT_PARSE) from exc
     if not covers:
         raise CliError("--covers needs at least one degree", EXIT_PARSE)
+    for n in covers:
+        if covers.count(n) > 1:
+            raise CliError(f"cover degree {n} is listed twice", EXIT_PARSE)
     reps = [_rep_for(p, n) for n in covers]
     result = fibered_obstruction(p, reps, precision)
     payload = {

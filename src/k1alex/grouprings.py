@@ -6,19 +6,19 @@ divisibility chain d_1 | d_2 | ... | d_r; elements are exponent tuples.  A
 divisors.  :class:`GroupAlgebraElem` is a finitely supported map from group
 elements to exact rationals, i.e. an element of Q[H].
 
-Q[H] is semisimple, so invertibility is decidable by the rational regular
-representation: an element is a unit iff its |H| x |H| multiplication matrix
-over Q is nonsingular.  No cyclotomic arithmetic is used anywhere.  All exact
-linear algebra over Q in the library (inverses, ranks, unit tests) goes
-through :func:`echelon` and :func:`solve`.
+Q[H] is a product of cyclotomic fields, Q[H] = prod Q(zeta_m), with one
+factor per Galois orbit of characters of H (Perlis-Walker): a character chi
+of order m sends a to chi(a) in Q[x]/Phi_m.  Every unit test and inverse in
+Q[H] goes through this one character transform (:func:`character_images`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import prod
+from functools import lru_cache
+from itertools import product, zip_longest
+from math import gcd, prod
 from typing import Iterator, Mapping, Sequence
 
 Element = tuple[int, ...]
@@ -45,10 +45,7 @@ class FiniteAbelianGroup:
             if b % a != 0:
                 raise GroupError(f"divisibility chain broken: {a} does not divide {b}")
         self.divisors = divisors
-        order = 1
-        for d in divisors:
-            order *= d
-        self.order = order
+        self.order = prod(divisors)
 
     @property
     def rank(self) -> int:
@@ -251,6 +248,16 @@ class GroupAlgebraElem:
         self.coeffs = clean
 
     @classmethod
+    def _reduced(cls, group: FiniteAbelianGroup,
+                 coeffs: Mapping[Element, Fraction]) -> "GroupAlgebraElem":
+        """Internal constructor for normalized keys and Fraction values:
+        only drops the zero coefficients."""
+        out = cls.__new__(cls)
+        out.group = group
+        out.coeffs = {e: c for e, c in coeffs.items() if c}
+        return out
+
+    @classmethod
     def zero(cls, group: FiniteAbelianGroup) -> "GroupAlgebraElem":
         return cls(group)
 
@@ -271,15 +278,11 @@ class GroupAlgebraElem:
         self._check(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return GroupAlgebraElem(self.group, out)
+            out[e] = out.get(e, 0) + c
+        return GroupAlgebraElem._reduced(self.group, out)
 
     def __neg__(self) -> "GroupAlgebraElem":
-        return GroupAlgebraElem(self.group, {e: -c for e, c in self.coeffs.items()})
+        return GroupAlgebraElem._reduced(self.group, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
         return self + (-other)
@@ -293,14 +296,14 @@ class GroupAlgebraElem:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = g.add(e1, e2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return GroupAlgebraElem(g, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return GroupAlgebraElem._reduced(g, out)
 
     __rmul__ = __mul__
 
     def scale(self, c: Fraction | int) -> "GroupAlgebraElem":
         c = Fraction(c)
-        return GroupAlgebraElem(self.group, {e: v * c for e, v in self.coeffs.items()})
+        return GroupAlgebraElem._reduced(self.group, {e: v * c for e, v in self.coeffs.items()})
 
     def apply_aut(self, kappa: GroupAut, power: int = 1) -> "GroupAlgebraElem":
         if kappa.group != self.group:
@@ -310,12 +313,10 @@ class GroupAlgebraElem:
             return self
         table = kappa._table(power)
         if table is not None:
-            out = GroupAlgebraElem.__new__(GroupAlgebraElem)
-            out.group = self.group
-            out.coeffs = {table[e]: c for e, c in self.coeffs.items()}
-            return out
-        return GroupAlgebraElem(
-            self.group, {kappa.apply(e, power): c for e, c in self.coeffs.items()})
+            coeffs = {table[e]: c for e, c in self.coeffs.items()}
+        else:
+            coeffs = {kappa.apply(e, power): c for e, c in self.coeffs.items()}
+        return GroupAlgebraElem._reduced(self.group, coeffs)
 
     def augmentation(self) -> Fraction:
         """Coefficient sum: the pushforward along H -> 1."""
@@ -357,27 +358,13 @@ class GroupAlgebraElem:
     __repr__ = __str__
 
 
-def regular_representation(a: GroupAlgebraElem) -> list[list[Fraction]]:
-    """Matrix of left multiplication by ``a`` on Q[H] in the element basis."""
-    els = list(a.group.elements())
-    idx = {e: i for i, e in enumerate(els)}
-    n = len(els)
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for e, c in a.coeffs.items():
-        for j, h in enumerate(els):
-            M[idx[a.group.add(e, h)]][j] += c
-    return M
-
-
 def echelon(A: list[list[Fraction]], ncols: int) -> list[int]:
     """Forward Gaussian elimination over Q, in place; returns the pivot columns.
 
-    Pivots are searched in the first ``ncols`` columns only; row operations
-    act on whole rows, so columns past ``ncols`` carry augmented right-hand
-    sides along.  Afterwards row i leads at column ``pivots[i]`` and every
-    row past ``len(pivots)`` is zero in the first ``ncols`` columns, so the
-    rank is the number of pivots.  This is the only exact elimination loop
-    in the library.
+    Pivots are searched in the first ``ncols`` columns only.  Afterwards
+    row i leads at column ``pivots[i]`` and every row past ``len(pivots)``
+    is zero there, so the rank is the number of pivots.  This is the only
+    exact elimination loop in the library.
     """
     pivots: list[int] = []
     r = 0
@@ -400,42 +387,89 @@ def echelon(A: list[list[Fraction]], ncols: int) -> list[int]:
     return pivots
 
 
-def solve(M: Sequence[Sequence[Fraction]],
-          rhs_rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
-    """Exact solution X of M X = B for square M, or None if M is singular.
+@lru_cache(maxsize=None)
+def cyclotomic(m: int) -> tuple[int, ...]:
+    """Phi_m, constant term first: x^m - 1 over Phi_d for each proper d | m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _divmod_poly(poly, cyclotomic(d))[0]
+    return tuple(int(c) for c in poly)
 
-    ``rhs_rows`` and the result are given by rows: row i of B is
-    ``rhs_rows[i]``.  Forward elimination by :func:`echelon`, then
-    back-substitution.
+
+@lru_cache(maxsize=None)
+def _traces(m: int) -> tuple[int, ...]:
+    """Tr(zeta_m^s) over Q, s = 0 .. m-1: sum_(d | m) Tr(zeta_d^s) = m [s = 0]."""
+    return tuple((m if s == 0 else 0)
+                 - sum(_traces(d)[s % d] for d in range(1, m) if m % d == 0)
+                 for s in range(m))
+
+
+def _divmod_poly(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """Quotient and remainder over Q, coefficients constant term first; the
+    remainder carries no trailing zeros."""
+    r, n = list(a), len(b) - 1
+    q = [Fraction(0)] * max(len(r) - n, 1)
+    for k in range(len(r) - 1 - n, -1, -1):
+        c = q[k] = Fraction(r[k + n]) / b[n]
+        if c:
+            for i in range(n + 1):
+                r[k + i] -= c * b[i]
+    r = r[:n]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _field_inverse(c: list[Fraction], f: Sequence[int]) -> list[Fraction]:
+    """c^-1 in Q[x]/f, for f irreducible and c nonzero of lower degree, by
+    the extended Euclidean algorithm: s * c = r mod f for every remainder r,
+    and the last one is a nonzero constant."""
+    r0, r1, s0, s1 = f, c, [Fraction(0)], [Fraction(1)]
+    while len(r1) > 1:
+        q, r = _divmod_poly(r0, r1)
+        qs = [Fraction(0)] * (len(q) + len(s1) - 1)
+        for i, x in enumerate(q):
+            for j, y in enumerate(s1):
+                qs[i + j] += x * y
+        r0, r1, s0, s1 = r1, r, s1, [x - y for x, y in zip_longest(s0, qs, fillvalue=0)]
+    return [x / r1[0] for x in s1]
+
+
+@lru_cache(maxsize=None)
+def character_orbits(group: FiniteAbelianGroup) -> tuple[tuple[int, Element], ...]:
+    """One character per Galois orbit, as (m, u) with chi(h) = zeta_m^(u . h).
+
+    H's characters are chi_w(h) = prod_i zeta_(d_i)^(w_i h_i), w in H, and
+    zeta -> zeta^k sends chi_w to chi_(k w): an orbit is the generators of a
+    cyclic subgroup <w> of order m and gives the factor Q(zeta_m) of Q[H].
     """
-    n = len(M)
-    A = [list(row) + list(b) for row, b in zip(M, rhs_rows)]
-    if len(echelon(A, n)) < n:
-        return None
-    X: list[list[Fraction]] = [[] for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        row = A[i]
-        acc = row[n:]
-        for j in range(i + 1, n):
-            if row[j]:
-                f = row[j]
-                acc = [a - f * x for a, x in zip(acc, X[j])]
-        inv = 1 / row[i]
-        X[i] = [a * inv for a in acc]
-    return X
+    seen: set[Element] = set()
+    out = []
+    for w in group.elements():
+        if w not in seen:
+            m = group.element_order(w)
+            seen.update(group.scale(w, k) for k in range(1, m + 1) if gcd(k, m) == 1)
+            out.append((m, tuple(x * m // d for x, d in zip(w, group.divisors))))
+    return tuple(out)
+
+
+def character_images(a: GroupAlgebraElem) -> list[list[Fraction]]:
+    """chi(a) in Q[x]/Phi_m for each character of :func:`character_orbits`,
+    reduced below degree phi(m); the empty list is zero."""
+    out = []
+    for m, u in character_orbits(a.group):
+        vec = [Fraction(0)] * m
+        for e, c in a.coeffs.items():
+            vec[sum(x * y for x, y in zip(u, e)) % m] += c
+        out.append(_divmod_poly(vec, cyclotomic(m))[1])
+    return out
 
 
 def gr_is_unit(a: GroupAlgebraElem) -> bool:
-    """Unit test in Q[H] via the regular representation.
-
-    Valid because Q[H] is semisimple: a is invertible iff it is not a zero
-    divisor iff its regular representation is nonsingular over Q.
-    """
-    if not a.coeffs:
-        return False
-    if len(a.coeffs) == 1:
-        return True  # nonzero multiple of a group element
-    return gr_inverse(a) is not None
+    """Unit test in Q[H]: chi(a) != 0 on every orbit, checked by the cached
+    :func:`gr_inverse`, since a unit pivot candidate's inverse is needed next."""
+    return len(a.coeffs) == 1 or gr_inverse(a) is not None
 
 
 _INVERSE_CACHE: dict = {}
@@ -444,6 +478,8 @@ _INVERSE_CACHE: dict = {}
 def gr_inverse(a: GroupAlgebraElem) -> GroupAlgebraElem | None:
     """Exact inverse in Q[H], or None if ``a`` is not a unit.
 
+    chi(a) is inverted in each factor Q[x]/Phi_m and carried back by Fourier
+    inversion, b_h = (1/|H|) sum_orbits Tr(chi(a)^-1 * zeta_m^-(u . h)).
     Results are memoized: elimination pivots and their leading coefficients
     recur heavily across a run.
     """
@@ -455,13 +491,19 @@ def gr_inverse(a: GroupAlgebraElem) -> GroupAlgebraElem | None:
     key = (a.group.divisors, frozenset(a.coeffs.items()))
     if key in _INVERSE_CACHE:
         return _INVERSE_CACHE[key]
-    els = list(a.group.elements())
-    identity = a.group.identity()
-    x = solve(regular_representation(a), [[Fraction(int(e == identity))] for e in els])
-    if x is None:
-        result = None
-    else:
-        result = GroupAlgebraElem(a.group, {e: xe for e, (xe,) in zip(els, x) if xe})
+    group = a.group
+    images = character_images(a)
+    result = None
+    if all(images):
+        els = list(group.elements())
+        b = [Fraction(0)] * len(els)
+        for (m, u), image in zip(character_orbits(group), images):
+            c, tr = _field_inverse(image, cyclotomic(m)), _traces(m)
+            # Tr(c * zeta^-j) = sum_k c_k Tr(zeta^(k - j))
+            row = [sum(ck * tr[(k - j) % m] for k, ck in enumerate(c)) for j in range(m)]
+            for i, h in enumerate(els):
+                b[i] += row[sum(x * y for x, y in zip(u, h)) % m]
+        result = GroupAlgebraElem._reduced(group, {h: x / group.order for h, x in zip(els, b)})
     if len(_INVERSE_CACHE) < 4096:
         _INVERSE_CACHE[key] = result
     return result
@@ -495,11 +537,7 @@ class OrbitClass:
     def __add__(self, other: "OrbitClass") -> "OrbitClass":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c
         return OrbitClass(self.group, self.kappa, out)
 
     def __str__(self) -> str:

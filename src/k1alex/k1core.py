@@ -13,7 +13,7 @@ unit group.  The representative is ambiguous up to a unit monomial
 (u tau^k, u a unit of Q[H]) and coefficient-wise twisting; the canonical
 content is the Witt part together with its projected logarithms and the
 commutative determinant det Upsilon computed in :mod:`k1alex.upsilon`, from
-which :func:`k1_invariant` also takes the logarithms and a stall's verdict.
+which :func:`k1_invariant` also takes the logarithms and every verdict.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class K1Report:
 
     ``delta`` is tau^{-g} times the ordered pivot product; it factors as
     unit_part * tau^degree * witt, and :func:`k1_invariant` fills in the
-    projected logarithms of the Witt part.  All five stay None when
-    elimination stalls, and the verdict is then read off det Upsilon.
+    projected logarithms of the Witt part and the verdict from det Upsilon.
+    All five stay None when elimination stalls.
     """
 
     invertible: Optional[str]  # "yes" | "no"; None only from a stalled eliminate()
@@ -176,8 +176,9 @@ def eliminate(mx: NovikovMatrix) -> K1Report:
     A completed elimination proves the matrix invertible ("yes").  If at some
     stage no entry has a unit leading coefficient -- a Novikov unit over a
     ring with nontrivial idempotents can hide behind a non-unit one --
-    elimination stalls: ``delta`` is None, the verdict is left to
-    :func:`k1_invariant`, and the partial trace, swaps and stage are kept.
+    elimination stalls: ``delta`` and the verdict are None, and the partial
+    trace, swaps and stage are kept.  :func:`k1_invariant` reads its own
+    verdict off det Upsilon either way.
     """
     n = mx.size
     M = [row[:] for row in mx.entries]
@@ -235,41 +236,35 @@ def eliminate(mx: NovikovMatrix) -> K1Report:
                          f"{swaps} swaps absorbed into the unit ambiguity")
 
 
+def _det_upsilon(mx: NovikovMatrix):
+    """det Upsilon(mx) at period N = ord kappa, and whether it is a unit."""
+    from . import upsilon
+    det = upsilon.det_commutative(upsilon.upsilon_matrix(mx, mx.kappa.order))
+    return det, upsilon.is_unit_laurent(det)
+
+
 def k1_invariant(p: MeridianPresentation, rep: MetaRep,
                  precision: int = DEFAULT_PRECISION) -> K1Report:
     """Full pipeline: build the relation matrix, eliminate, normalize.
 
     The report carries the Witt-normalized representative of the determinant
-    class and its projected logarithms.  This is the one place where the
-    invertibility verdict, "yes" or "no", is decided.  P = det Upsilon at
-    period N = ord kappa is computed once.  When elimination completes, the
-    logs are read off P (:func:`ns_log`).  When it stalls, P decides:
-    M_n(A_kappa((tau))) is finite-dimensional over Q((tau^N)) and Upsilon
-    embeds it injectively into M_nN(Q[H]((t))), so M is invertible iff P is
-    a unit (:func:`is_unit_laurent`); delta, the Witt part and logs stay None.
+    class and its projected logarithms.  P = det Upsilon at period N = ord
+    kappa is computed once and gives the verdict, "yes" or "no", on every
+    call: M_n(A_kappa((tau))) is finite-dimensional over Q((tau^N)) and
+    Upsilon embeds it injectively into M_nN(Q[H]((t))), so M is invertible
+    iff P is a unit (:func:`is_unit_laurent`).  When elimination completes,
+    the logs are read off P (:func:`ns_log`); when it stalls, delta, the
+    Witt part and the logs stay None.
     """
-    from . import upsilon
     mx = build_fox_matrix(p, rep, precision)
-    kappa = mx.kappa
     report = eliminate(mx)
-    det = upsilon.det_commutative(upsilon.upsilon_matrix(mx, kappa.order))
+    det, unit = _det_upsilon(mx)
+    report.invertible = "yes" if unit else "no"
     if report.delta is not None:
-        # Row operations and swaps change det by at most a sign, and a pivot
-        # contributes the orbit product of its leading coefficient, so det's
-        # lowest coefficient is c0 = +-prod_{i<N} kappa^i(u), u the unit part
-        # of delta.  u^-1 is cached by the Witt normalization: no new solve.
-        u_inv = gr_inverse(report.unit_part)
-        one = c0_inv = GroupAlgebraElem.one(kappa.group)
-        for i in range(kappa.order):
-            c0_inv = c0_inv * u_inv.apply_aut(kappa, i)
         lo = det.min_degree()
-        if det.coefficient(lo) * c0_inv != one:
-            c0_inv = -c0_inv
+        c0_inv = gr_inverse(det.coefficient(lo))
         witt_det = {d - lo: c * c0_inv for d, c in det.terms.items()}
-        report.logs = ns_log(witt_det, kappa, report.witt.top)
-    else:
-        report.invertible = "yes" if upsilon.is_unit_laurent(det) else "no"
-        report.note += f"; det Upsilon decides the verdict: {report.invertible}"
+        report.logs = ns_log(witt_det, mx.kappa, report.witt.top)
     return report
 
 
@@ -285,21 +280,19 @@ class ObstructionReport:
         return "not-invertible" in self.verdicts
 
 
-_OBSTRUCTION_VERDICT = {"yes": "invertible", "no": "not-invertible"}
-
-
 def fibered_obstruction(p: MeridianPresentation, reps: Sequence[MetaRep],
                         precision: int = DEFAULT_PRECISION) -> ObstructionReport:
     """Invertibility of the relation matrix over each representation.
 
     Each verdict is the exact :func:`k1_invariant` verdict renamed ("yes" ->
-    "invertible", "no" -> "not-invertible").  Any "not-invertible" certifies
-    the knot is not fibered.  All invertible verdicts are merely consistent
-    with fiberedness: the converse would require every representation, so
-    the summary never claims "fibered".
+    "invertible", "no" -> "not-invertible"), taken the same way from det
+    Upsilon of the relation matrix alone: no elimination, no logarithm.  Any
+    "not-invertible" certifies the knot is not fibered.  All invertible
+    verdicts are merely consistent with fiberedness: the converse would
+    require every representation, so the summary never claims "fibered".
     """
-    verdicts = tuple(_OBSTRUCTION_VERDICT[k1_invariant(p, rep, precision).invertible]
-                     for rep in reps)
+    units = [_det_upsilon(build_fox_matrix(p, rep, precision))[1] for rep in reps]
+    verdicts = tuple("invertible" if u else "not-invertible" for u in units)
     summary = ("non-fibered certified" if "not-invertible" in verdicts
                else "no obstruction found: consistent-with-fibered")
     return ObstructionReport(verdicts, summary)

@@ -35,7 +35,6 @@ from .grouprings import (
     GroupError,
     OrbitClass,
     gr_inverse,
-    gr_is_unit,
     orbit_project,
 )
 

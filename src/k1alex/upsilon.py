@@ -22,7 +22,7 @@ The rows are instead taken greedily by the fewest open columns, which
 interleaves the n blocks so that they advance together, a row of each in
 turn; column sets that miss a column no later row can fill are dropped.
 The width then stays bounded in N.  Invertibility of a Laurent polynomial over
-Q[H]((t)) is decided exactly by a rank of rational regular representations.
+Q[H]((t)) is decided exactly on the characters of H.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ from .grouprings import (
     GroupAlgebraElem,
     GroupError,
     MetaRep,
-    echelon,
-    gr_is_unit,
-    regular_representation,
+    character_images,
 )
 from .k1core import NovikovMatrix, build_fox_matrix
 from .novikov import NovikovSeries
@@ -76,11 +74,7 @@ class LaurentPolyGA:
         out = dict(self.terms)
         for d, c in other.terms.items():
             s = out.get(d)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = s
+            out[d] = c if s is None else s + c
         return LaurentPolyGA(self.group, out)
 
     def __neg__(self) -> "LaurentPolyGA":
@@ -98,8 +92,7 @@ class LaurentPolyGA:
                 c = c1 * c2
                 s = out.get(d)
                 out[d] = c if s is None else s + c
-        return LaurentPolyGA(self.group, {d: c for d, c in out.items()
-                                          if not c.is_zero()})
+        return LaurentPolyGA(self.group, out)
 
     def scale(self, c: Fraction | int) -> "LaurentPolyGA":
         return LaurentPolyGA(self.group, {d: v.scale(c) for d, v in self.terms.items()})
@@ -348,33 +341,16 @@ def poly_equiv(p: LaurentPolyGA, q: LaurentPolyGA) -> bool:
 
 
 def is_unit_laurent(p: LaurentPolyGA) -> bool:
-    """Invertibility of p in Q[H]((t)), decided exactly by a rank over Q.
+    """Invertibility of p in Q[H]((t)), decided exactly on the characters of H.
 
-    Q[H] is semisimple and commutative, a finite product of fields K_i, so
-    Q[H]((t)) is the product of the Laurent series fields K_i((t)).  p is a
-    unit iff every component is nonzero, iff for every i some coefficient of
-    p is nonzero in K_i, iff the coefficients generate the unit ideal of
-    Q[H].  That holds iff no nonzero x in Q[H] is killed by all of them,
-    i.e. iff their regular representations, stacked, have rank |H|.
-
-    p(2) (after clearing t^lo) lies in that ideal, so when it is a unit of
-    Q[H] -- the usual case -- one |H| x |H| elimination decides; otherwise
-    the stacked coefficients are ranked.  At most two eliminations run.
+    Q[H] is the product of the cyclotomic fields Q(zeta_m), one per Galois
+    orbit of characters, so Q[H]((t)) is the product of the Laurent series
+    fields Q(zeta_m)((t)).  p is a unit iff every component is nonzero, iff
+    on every orbit some coefficient of p has a nonzero character value, iff
+    the coefficients generate the unit ideal of Q[H].
     """
-    if p.is_zero():
-        return False
-    if len(p.terms) == 1:
-        ((_, coeff),) = p.terms.items()
-        return gr_is_unit(coeff)
-    n = p.group.order
-    lo = p.min_degree()
-    at_two = GroupAlgebraElem.zero(p.group)
-    for d, c in p.terms.items():
-        at_two = at_two + c.scale(2 ** (d - lo))
-    if len(echelon(regular_representation(at_two), n)) == n:
-        return True
-    stacked = [row for c in p.terms.values() for row in regular_representation(c)]
-    return len(echelon(stacked, n)) == n
+    images = [character_images(c) for c in p.terms.values()]
+    return bool(images) and all(any(values) for values in zip(*images))
 
 
 def metafinite_polynomial(p: MeridianPresentation, rep: MetaRep) -> LaurentPolyGA:

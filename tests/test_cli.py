@@ -286,6 +286,14 @@ def test_fibered_subcommand(capsys):
     assert "non-fibered" not in out
 
 
+def test_fibered_repeated_cover_exits_2(capsys):
+    code, out, err = run(capsys, "fibered", "--knot", "3_1", "--covers", "2,2,3",
+                         "--format", "json")
+    assert code == 2
+    assert err == "k1alex: cover degree 2 is listed twice\n"
+    assert out == ""
+
+
 def test_unknown_knot_exits_2(capsys):
     code, _, err = run(capsys, "compute", "--knot", "9_99", "--cover", "2")
     assert code == 2

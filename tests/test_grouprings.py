@@ -16,9 +16,9 @@ from k1alex import (
     gr_is_unit,
     orbit_project,
 )
-from k1alex.grouprings import echelon, solve
+from k1alex.grouprings import character_orbits, cyclotomic, echelon
 
-from helpers import rand_ga, z4sq_order3, z5_negation
+from helpers import rand_ga, unit_by_rank, z4sq_order3, z5_negation
 
 
 def ga(group, mapping):
@@ -230,21 +230,58 @@ def test_echelon_rank_of_products():
         assert len(echelon([list(col) for col in zip(*A)], m)) == len(pivots)
 
 
-def test_solve_random_systems():
-    rng = random.Random(12)
-    solved = 0
-    for _ in range(200):
-        n, k = rng.randint(0, 6), rng.randint(1, 3)
-        M, B = _rand_matrix(rng, n, n), _rand_matrix(rng, n, k)
-        X = solve(M, B)
-        if X is None:
-            assert len(echelon([row[:] for row in M], n)) < n
-        else:
-            solved += 1
-            assert _matmul(M, X) == B
-    assert solved > 150
-    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert solve(singular, [[Fraction(1)], [Fraction(0)]]) is None
+def _phi(m):
+    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
+@pytest.mark.parametrize("divisors", [(), (2,), (6,), (2, 2), (4, 4), (3, 9), (5, 35),
+                                      (11, 11), (2, 4, 8)])
+def test_character_orbits_split_the_group(divisors):
+    """Q[H] = prod Q(zeta_m): the field degrees phi(m) add up to |H|, and
+    there is one orbit per cyclic subgroup of H."""
+    H = FiniteAbelianGroup(divisors)
+    orbits = character_orbits(H)
+    assert sum(_phi(m) for m, _ in orbits) == H.order
+    cyclic = {frozenset(H.scale(h, k) for k in range(H.element_order(h)))
+              for h in H.elements()}
+    assert len(orbits) == len(cyclic)
+
+
+def test_cyclotomic_products():
+    """prod_{d | m} Phi_d = x^m - 1 for m <= 60."""
+    for m in range(1, 61):
+        prod_poly = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                phi_d = cyclotomic(d)
+                out = [0] * (len(prod_poly) + len(phi_d) - 1)
+                for i, x in enumerate(prod_poly):
+                    for j, y in enumerate(phi_d):
+                        out[i + j] += x * y
+                prod_poly = out
+        assert prod_poly == [-1] + [0] * (m - 1) + [1]
+
+
+def test_gr_inverse_agrees_with_rank_oracle():
+    """Seeded units and zero divisors over seven groups: gr_inverse is None
+    exactly when the regular representation is singular, else a * b = 1."""
+    rng = random.Random(13)
+    counts = {"unit": 0, "zero divisor": 0}
+    for divisors in ((), (2,), (5,), (6,), (2, 2), (4, 4), (3, 9)):
+        H = FiniteAbelianGroup(divisors)
+        one = GroupAlgebraElem.one(H)
+        for _ in range(12):
+            a = rand_ga(rng, H, max_terms=6, denominators=True)
+            if divisors and rng.random() < 0.4:
+                h = GroupAlgebraElem.of(H, rng.choice(H.generator_basis()))
+                a = a * (one - h)
+            inv = gr_inverse(a)
+            unit = unit_by_rank(a)
+            assert (inv is not None) == unit == gr_is_unit(a), a
+            if unit:
+                assert a * inv == one
+            counts["unit" if unit else "zero divisor"] += 1
+    assert min(counts.values()) >= 20, counts
 
 
 def test_orbit_project_examples():

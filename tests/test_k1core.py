@@ -303,6 +303,22 @@ def test_fibered_obstruction_verdicts():
     assert res5.summary == "no obstruction found: consistent-with-fibered"
 
 
+def test_fibered_obstruction_runs_no_elimination_or_log(monkeypatch):
+    """The verdicts come from det Upsilon alone: with eliminate and ns_log
+    made to raise, fibered_obstruction still gives them."""
+    import k1alex.k1core as k1core
+
+    def refuse(*args):
+        raise AssertionError("fibered_obstruction must not call this")
+
+    monkeypatch.setattr(k1core, "eliminate", refuse)
+    monkeypatch.setattr(k1core, "ns_log", refuse)
+    for knot in ("3_1", "4_1", "5_2"):
+        p = builtin(knot)
+        res = fibered_obstruction(p, [metabelian_rep(p, n) for n in (2, 3, 4)], PREC)
+        assert res.verdicts == ("invertible",) * 3
+
+
 def _count_det_calls(monkeypatch):
     """Record every argument upsilon.det_commutative is called with."""
     import k1alex.upsilon as upsilon

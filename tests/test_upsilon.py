@@ -369,32 +369,6 @@ def test_is_unit_laurent_agrees_with_evaluation_oracle():
     assert min(seen.values()) >= 20, seen
 
 
-def test_is_unit_laurent_runs_at_most_two_eliminations(monkeypatch):
-    import k1alex.upsilon as upsilon
-
-    calls = []
-    echelon = upsilon.echelon
-
-    def counting(A, ncols):
-        calls.append(ncols)
-        return echelon(A, ncols)
-
-    monkeypatch.setattr(upsilon, "echelon", counting)
-    H, _ = z5_negation()
-    one = GroupAlgebraElem.one(H)
-    norm = GroupAlgebraElem(H, {e: 1 for e in H.elements()})
-    e = norm.scale(Fraction(1, 5))
-    cases = [
-        (LaurentPolyGA(H, {0: one, 1: GroupAlgebraElem.of(H, (1,))}), True, 1),
-        (LaurentPolyGA(H, {0: e, 1: -e, 2: e}), False, 2),  # span 2 non-unit
-        (LaurentPolyGA(H, {0: one.scale(2) - e, 1: e - one}), True, 2),  # p(2) = e
-    ]
-    for p, unit, eliminations in cases:
-        calls.clear()
-        assert is_unit_laurent(p) == unit
-        assert calls == [5] * eliminations
-
-
 def test_figure8_double_cover_polynomial():
     p = builtin("4_1")
     rep = metabelian_rep(p, 2)
