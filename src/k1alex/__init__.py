@@ -11,12 +11,9 @@ invertibility verdict.  All arithmetic is exact (integers and rationals).
 """
 
 from .cover import (
-    IntMatrix,
     MetabelianRepError,
-    SNFResult,
     alexander_presentation,
     metabelian_rep,
-    smith_normal_form,
     trivial_rep,
 )
 from .grouprings import (
@@ -63,6 +60,11 @@ from .presentation import (
     serialize_presentation,
     transport_rep,
     validate_rep,
+)
+from .snf import (
+    IntMatrix,
+    SNFResult,
+    smith_normal_form,
 )
 from .upsilon import (
     LaurentPolyGA,

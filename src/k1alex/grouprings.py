@@ -21,6 +21,8 @@ from itertools import product, zip_longest
 from math import gcd, prod
 from typing import Iterator, Mapping, Sequence
 
+from .snf import smith_normal_form
+
 Element = tuple[int, ...]
 
 
@@ -112,8 +114,10 @@ class GroupAut:
 
     The matrix acts on exponent columns: (kappa e)_i = sum_j M[i][j] e_j mod d_i.
     Construction checks that the map is well defined on the product of cyclic
-    factors and bijective (at every group order), and caches the
-    multiplicative order.
+    factors and bijective, and caches the multiplicative order.  H is
+    Z^r / (d_1 Z + ... + d_r Z) and finite, so kappa is bijective iff onto,
+    iff the columns of M and diag(d) span Z^r, iff every Smith normal form
+    divisor of the r x 2r matrix [M | diag(d)] is 1.
     """
 
     __slots__ = ("group", "matrix", "_order", "_perms")
@@ -136,21 +140,10 @@ class GroupAut:
                     raise GroupError("matrix does not define a map on the group")
         self._order: int | None = None
         self._perms: dict[int, dict[Element, Element]] = {}
-        # An endomorphism of a finite abelian p-group is onto iff it is onto
-        # mod p, and H/pH is spanned by the coordinates with p | d_i: kappa
-        # is bijective iff each such block is invertible mod p.
-        rest, p = (d[-1] if r else 1), 2
-        while rest > 1:
-            p = p if p * p <= rest else rest
-            if rest % p == 0:
-                idx = [i for i in range(r) if d[i] % p == 0]
-                block = [[Fraction(matrix[i][j]) for j in idx] for i in idx]
-                echelon(block, len(idx))  # diagonal product = +-det, 0 if singular
-                if prod(block[k][k] for k in range(len(idx))) % p == 0:
-                    raise GroupError("matrix is not bijective on the group")
-                while rest % p == 0:
-                    rest //= p
-            p += 1
+        snf = smith_normal_form([list(row) + [d[i] if j == i else 0 for j in range(r)]
+                                 for i, row in enumerate(matrix)])
+        if any(x != 1 for x in snf.divisors):
+            raise GroupError("matrix is not bijective on the group")
 
     @classmethod
     def identity(cls, group: FiniteAbelianGroup) -> "GroupAut":
@@ -356,35 +349,6 @@ class GroupAlgebraElem:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
-
-
-def echelon(A: list[list[Fraction]], ncols: int) -> list[int]:
-    """Forward Gaussian elimination over Q, in place; returns the pivot columns.
-
-    Pivots are searched in the first ``ncols`` columns only.  Afterwards
-    row i leads at column ``pivots[i]`` and every row past ``len(pivots)``
-    is zero there, so the rank is the number of pivots.  This is the only
-    exact elimination loop in the library.
-    """
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, len(A)) if A[i][c]), None)
-        if p is None:
-            continue
-        A[r], A[p] = A[p], A[r]
-        row = A[r]
-        inv = 1 / row[c]
-        nonzero = [j for j in range(c, len(row)) if row[j]]
-        for i in range(r + 1, len(A)):
-            Ai = A[i]
-            if Ai[c]:
-                f = Ai[c] * inv
-                for j in nonzero:
-                    Ai[j] -= f * row[j]
-        pivots.append(c)
-        r += 1
-    return pivots
 
 
 @lru_cache(maxsize=None)

@@ -220,7 +220,8 @@ def eliminate(mx: NovikovMatrix) -> K1Report:
                 if M[i][k].is_zero():
                     continue
                 factor = M[i][k] * pinv
-                for j in range(k, n):
+                # column k is never read again: later stages search i, j > k
+                for j in range(k + 1, n):
                     M[i][j] = M[i][j] - factor * M[k][j]
 
     diagonal = [M[k][k] for k in range(n)]

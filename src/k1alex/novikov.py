@@ -236,25 +236,27 @@ class WittVector(NovikovSeries):
 def ns_invert(a: NovikovSeries) -> NovikovSeries:
     """Two-sided inverse to the available precision.
 
-    :func:`witt_normalize` factors a = (u tau^d) w; the Witt part inverts
-    by the recurrence b_0 = 1, b_n = -sum_{i<n} b_i kappa^i(w_{n-i}) (the
-    tau^n coefficient of b w = 1), O(K^2) coefficient products, and
-    a^-1 = w^-1 kappa^-d(u^-1) tau^-d.  A non-unit leading coefficient
-    raises: such a series may still be invertible in the Novikov ring, but
-    not by this route.
+    With a = sum_i c_i tau^(d+i) and u = c_0^-1, the tau^n coefficient of
+    b a = 1 gives b = sum_n b_n tau^(n-d) one coefficient at a time, b_0 =
+    kappa^-d(u) and b_n = -kappa^(n-d)(u) sum_(j<n) b_j kappa^(j-d)(c_(n-j)):
+    O(K^2) products by a's own coefficients and one :func:`gr_inverse`, on
+    the window [-d, a.top - 2d).  A non-unit leading coefficient raises: such
+    a series may still be invertible in the Novikov ring, but not by this
+    route.
     """
-    lead, d, w = witt_normalize(a)
-    kappa = a.kappa
-    b = [w.coeffs[0]]
-    for n in range(1, w.top):
+    d, lead = a.leading()
+    u = gr_inverse(lead)
+    if u is None:
+        raise SeriesError(f"leading coefficient ({lead}) is not a unit")
+    kappa, c = a.kappa, a.coeffs
+    b = [u.apply_aut(kappa, -d)]
+    for n in range(1, len(c)):
         acc = GroupAlgebraElem.zero(a.group)
-        for i in range(n):
-            if b[i] and w.coeffs[n - i]:
-                acc = acc - b[i] * w.coeffs[n - i].apply_aut(kappa, i)
-        b.append(acc)
-    head_inv = NovikovSeries.monomial(kappa, gr_inverse(lead).apply_aut(kappa, -d),
-                                      -d, a.window)
-    return NovikovSeries(kappa, 0, tuple(b), w.top) * head_inv
+        for j in range(n):
+            if b[j] and c[n - j]:
+                acc = acc - b[j] * c[n - j].apply_aut(kappa, j - d)
+        b.append(acc * u.apply_aut(kappa, n - d))
+    return NovikovSeries(kappa, -d, tuple(b), a.top - 2 * d)
 
 
 def witt_normalize(a: NovikovSeries) -> tuple[GroupAlgebraElem, int, WittVector]:

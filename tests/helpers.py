@@ -21,7 +21,6 @@ from k1alex import (
     orbit_project,
     word,
 )
-from k1alex.grouprings import echelon
 
 
 # Genus-2 presentations: 4_1 and 5_2 with a trivial handle added.
@@ -170,6 +169,34 @@ def rational_log(coeffs: dict[int, Fraction], top: int) -> dict[int, Fraction]:
         power = nxt
         n += 1
     return {d: c for d, c in out.items() if c}
+
+
+def echelon(A: list[list[Fraction]], ncols: int) -> list[int]:
+    """Forward Gaussian elimination over Q, in place; returns the pivot columns.
+
+    Pivots are searched in the first ``ncols`` columns only.  Afterwards
+    row i leads at column ``pivots[i]`` and every row past ``len(pivots)``
+    is zero there, so the rank is the number of pivots.
+    """
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if p is None:
+            continue
+        A[r], A[p] = A[p], A[r]
+        row = A[r]
+        inv = 1 / row[c]
+        nonzero = [j for j in range(c, len(row)) if row[j]]
+        for i in range(r + 1, len(A)):
+            Ai = A[i]
+            if Ai[c]:
+                f = Ai[c] * inv
+                for j in nonzero:
+                    Ai[j] -= f * row[j]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def regular_representation(a) -> list[list[Fraction]]:

@@ -16,9 +16,9 @@ from k1alex import (
     gr_is_unit,
     orbit_project,
 )
-from k1alex.grouprings import character_orbits, cyclotomic, echelon
+from k1alex.grouprings import character_orbits, cyclotomic
 
-from helpers import rand_ga, unit_by_rank, z4sq_order3, z5_negation
+from helpers import echelon, rand_ga, unit_by_rank, z4sq_order3, z5_negation
 
 
 def ga(group, mapping):
@@ -156,7 +156,8 @@ def test_aut_bijectivity_checked_at_every_order():
 
 def test_aut_bijectivity_matches_enumeration():
     rng = random.Random(12)
-    for divisors in ([4], [12], [2, 4], [3, 6], [2, 2], [2, 12], [3, 9]):
+    for divisors in ([], [4], [12], [2, 4], [3, 6], [2, 2], [2, 12], [3, 9],
+                     [2, 2, 2], [5, 5], [6, 6], [2, 4, 8], [9, 9]):
         H = FiniteAbelianGroup(divisors)
         r = H.rank
         for _ in range(40):

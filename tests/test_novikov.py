@@ -26,6 +26,8 @@ from helpers import (
     rand_unit_ga,
     rational_log,
     trivial_group,
+    unit_by_rank,
+    z4sq_order3,
     z5_negation,
 )
 
@@ -127,6 +129,30 @@ def test_inverse_random_suite():
         inv = ns_invert(a)
         assert a * inv == one
         assert inv * a == one
+
+
+def test_inverse_window_with_non_monomial_leads():
+    """The inverse of a series leading at tau^d lives on [-d, a.top - 2d),
+    which the window-relative == cannot see, and inverts on both sides when
+    the leading unit of Q[H] has several terms."""
+    rng = random.Random(23)
+    count = 0
+    for _, kappa in (z5_negation(), z4sq_order3()):
+        for _ in range(60):
+            lead = rand_ga(rng, kappa.group, max_terms=4, denominators=True)
+            if len(lead.coeffs) < 2 or not unit_by_rank(lead):
+                continue
+            d, window = rng.randint(-3, 3), rng.randint(1, 9)
+            terms = {d: lead}
+            for _ in range(rng.randint(0, 4) if window > 1 else 0):
+                terms[rng.randint(d + 1, d + window - 1)] = rand_ga(rng, kappa.group)
+            a = NovikovSeries.from_map(kappa, terms, d + window)
+            inv = ns_invert(a)
+            assert (inv.min_deg, inv.top) == (-d, a.top - 2 * d)
+            one = NovikovSeries.one(kappa, a.window)
+            assert a * inv == one and inv * a == one
+            count += 1
+    assert count >= 40
 
 
 def test_witt_normalize_examples():
