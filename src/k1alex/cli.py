@@ -151,7 +151,7 @@ def cmd_fibered(args) -> int:
         if covers.count(n) > 1:
             raise CliError(f"cover degree {n} is listed twice", EXIT_PARSE)
     reps = [_rep_for(p, n) for n in covers]
-    result = fibered_obstruction(p, reps, precision)
+    result = fibered_obstruction(p, reps)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "knot": p.name or None,

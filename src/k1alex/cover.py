@@ -79,25 +79,20 @@ def metabelian_rep(p: MeridianPresentation, cover_n: int) -> MetaRep:
         vec = [U[r, col] for r in range(size)]
         images.append(tuple(vec[r] % ds[r] for r in tor_idx))
 
-    # multiplication by t permutes columns (i, k) -> (i, k+1)
-    P = IntMatrix.zeros(size, size)
-    for i in range(p.rank):
-        for k in range(cover_n):
-            P.rows[i * cover_n + (k + 1) % cover_n][i * cover_n + k] = 1
-    K_full = (U @ P) @ snf.U_inv
-    for ci, c in enumerate(tor_idx):
+    # t sends basis vector j = (i, k) to nxt[j] = (i, k+1), so its column c in
+    # cokernel coordinates is sum_j U[:, nxt[j]] U_inv[j][c]; only torsion c is read
+    nxt = [i * cover_n + (k + 1) % cover_n for i in range(p.rank) for k in range(cover_n)]
+    K = {c: [sum(row[nxt[j]] * snf.U_inv[j, c] for j in range(size)) for row in U.rows]
+         for c in tor_idx}
+    for c in tor_idx:
         for r, d in enumerate(ds):
-            if d == 0 and K_full[r, c] != 0:
+            if d == 0 and K[c][r] != 0:
                 raise MetabelianRepError(
                     "t-action sends torsion into the free part: cover homology "
                     "is not a finite module at this degree")
-            if d > 1 and (K_full[r, c] * ds[c]) % d != 0:
+            if d > 1 and (K[c][r] * ds[c]) % d != 0:
                 raise MetabelianRepError("t-action fails to descend to torsion")
-    kappa_matrix = [[K_full[r, c] % ds[r] for c in tor_idx] for r in tor_idx]
-    kappa = GroupAut(H, kappa_matrix)
-    if cover_n % kappa.order != 0:
-        raise MetabelianRepError(
-            f"deck action order {kappa.order} does not divide cover degree {cover_n}")
+    kappa = GroupAut(H, [[K[c][r] % ds[r] for c in tor_idx] for r in tor_idx])
 
     rep = MetaRep(H, kappa, tuple(images), cover_n, free_rank=free_rank)
     violation = validate_rep(p, rep)

@@ -122,9 +122,6 @@ class GroupAut:
 
     __slots__ = ("group", "matrix", "_order", "_perms")
 
-    # permutation tables are only tabulated for groups up to this order
-    _TABLE_LIMIT = 10_000
-
     def __init__(self, group: FiniteAbelianGroup, matrix: Sequence[Sequence[int]]):
         r = group.rank
         matrix = tuple(tuple(int(x) for x in row) for row in matrix)
@@ -151,23 +148,21 @@ class GroupAut:
         return cls(group, [[1 if i == j else 0 for j in range(r)] for i in range(r)])
 
     def apply(self, e: Element, power: int = 1) -> Element:
-        power %= self.order
-        if power == 0:
-            return e
-        table = self._table(power)
-        if table is not None:
-            return table[e]
-        return self._apply_power(e, power)
+        """kappa^power(e), iterating kappa on the one element: a single
+        element needs no table, so no group order is too large here."""
+        for _ in range(power % self.order):
+            e = self._apply_once(e)
+        return e
 
-    def _table(self, power: int) -> dict[Element, Element] | None:
-        """Tabulated kappa^power (small groups only).
+    def _table(self, power: int) -> dict[Element, Element]:
+        """Tabulated kappa^power, through which Q[H] elements are acted on
+        at any group order (:meth:`GroupAlgebraElem.apply_aut`); a single
+        element takes no table (:meth:`apply`).
 
         kappa is tabulated once; kappa^p is the table of kappa^(p-1) composed
         with it, filling the missing lower powers upward from the highest
         cached one, so any request order costs |H| applications in all.
         """
-        if self.group.order > self._TABLE_LIMIT:
-            return None
         perms = self._perms
         table = perms.get(power)
         if table is None:
@@ -179,11 +174,6 @@ class GroupAut:
             for q in range(p + 1, power + 1):
                 table = perms[q] = {e: once[v] for e, v in table.items()}
         return table
-
-    def _apply_power(self, e: Element, power: int) -> Element:
-        for _ in range(power):
-            e = self._apply_once(e)
-        return e
 
     @property
     def order(self) -> int:
@@ -305,11 +295,7 @@ class GroupAlgebraElem:
         if power == 0 or not self.coeffs:
             return self
         table = kappa._table(power)
-        if table is not None:
-            coeffs = {table[e]: c for e, c in self.coeffs.items()}
-        else:
-            coeffs = {kappa.apply(e, power): c for e, c in self.coeffs.items()}
-        return GroupAlgebraElem._reduced(self.group, coeffs)
+        return GroupAlgebraElem._reduced(self.group, {table[e]: c for e, c in self.coeffs.items()})
 
     def augmentation(self) -> Fraction:
         """Coefficient sum: the pushforward along H -> 1."""

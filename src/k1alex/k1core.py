@@ -34,6 +34,8 @@ from .novikov import (
 from .presentation import MeridianPresentation, validate_rep
 from .words import Word
 
+UPSILON_WINDOW = 4  # Upsilon reads only tau^0 and tau^1 of each relation entry
+
 
 class NovikovMatrix:
     """Square grid of Novikov series sharing one twisting automorphism."""
@@ -281,18 +283,18 @@ class ObstructionReport:
         return "not-invertible" in self.verdicts
 
 
-def fibered_obstruction(p: MeridianPresentation, reps: Sequence[MetaRep],
-                        precision: int = DEFAULT_PRECISION) -> ObstructionReport:
+def fibered_obstruction(p: MeridianPresentation, reps: Sequence[MetaRep]) -> ObstructionReport:
     """Invertibility of the relation matrix over each representation.
 
     Each verdict is the exact :func:`k1_invariant` verdict renamed ("yes" ->
     "invertible", "no" -> "not-invertible"), taken the same way from det
-    Upsilon of the relation matrix alone: no elimination, no logarithm.  Any
-    "not-invertible" certifies the knot is not fibered.  All invertible
-    verdicts are merely consistent with fiberedness: the converse would
-    require every representation, so the summary never claims "fibered".
+    Upsilon of the relation matrix alone, built at :data:`UPSILON_WINDOW`
+    since det Upsilon does not depend on the window: no elimination, no
+    logarithm.  Any "not-invertible" certifies the knot is not fibered.  All
+    invertible verdicts are merely consistent with fiberedness: the converse
+    would require every representation, so the summary never claims "fibered".
     """
-    units = [_det_upsilon(build_fox_matrix(p, rep, precision))[1] for rep in reps]
+    units = [_det_upsilon(build_fox_matrix(p, rep, UPSILON_WINDOW))[1] for rep in reps]
     verdicts = tuple("invertible" if u else "not-invertible" for u in units)
     summary = ("non-fibered certified" if "not-invertible" in verdicts
                else "no obstruction found: consistent-with-fibered")

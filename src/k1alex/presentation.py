@@ -132,10 +132,10 @@ def parse_presentation(text: str, name: str = "") -> MeridianPresentation:
         entries[iy] = (yw, zw, lineno)
     if genus is None:
         raise ParseError("empty input: expected 'genus <g>' header", 1)
-    missing = [i for i in range(1, 2 * genus + 1) if i not in entries]
-    if missing:
-        raise ParseError(f"missing relation(s) for indices {missing}",
-                         header_line or 1)
+    if len(entries) < 2 * genus:  # next() stops within len(entries) + 1 steps
+        first = next(i for i in range(1, 2 * genus + 1) if i not in entries)
+        raise ParseError(f"missing relation(s) for {2 * genus - len(entries)} of "
+                         f"{2 * genus} indices, first {first}", header_line or 1)
     ys = tuple(entries[i][0] for i in range(1, 2 * genus + 1))
     zs = tuple(entries[i][1] for i in range(1, 2 * genus + 1))
     return MeridianPresentation(genus, ys, zs, name=name)

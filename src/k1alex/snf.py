@@ -33,10 +33,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, m: int, n: int) -> "IntMatrix":
-        return cls([[0] * n for _ in range(m)])
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.rows[ij[0]][ij[1]]
 

@@ -37,7 +37,7 @@ from .grouprings import (
     MetaRep,
     character_images,
 )
-from .k1core import NovikovMatrix, build_fox_matrix
+from .k1core import UPSILON_WINDOW, NovikovMatrix, build_fox_matrix
 from .novikov import NovikovSeries
 from .presentation import MeridianPresentation
 
@@ -356,14 +356,10 @@ def is_unit_laurent(p: LaurentPolyGA) -> bool:
 def metafinite_polynomial(p: MeridianPresentation, rep: MetaRep) -> LaurentPolyGA:
     """Commutative determinant of the untwisted relation matrix.
 
-    Computes det of the block image of the relation matrix, multiplied by the
-    determinant of the untwisted tau^{-g} normalization (a unit monomial
-    t^{-2 g^2 N}), and returns the canonical form.  Comparisons should go
-    through :func:`poly_equiv`, since the class is only defined up to unit
-    monomials.
+    Computes det of the block image, at period ``rep.cover_n``, of the
+    relation matrix built at :data:`~k1alex.k1core.UPSILON_WINDOW`, and
+    returns its canonical form.  Comparisons should go through
+    :func:`poly_equiv`, since the class is only defined up to unit monomials.
     """
-    matrix = build_fox_matrix(p, rep, precision=4)
-    N = rep.cover_n
-    det = det_commutative(upsilon_matrix(matrix, N))
-    det = det.shift(-2 * p.genus * p.genus * N)
-    return canonical_form(det)
+    matrix = build_fox_matrix(p, rep, UPSILON_WINDOW)
+    return canonical_form(det_commutative(upsilon_matrix(matrix, rep.cover_n)))

@@ -3,6 +3,8 @@
 import random
 from math import gcd
 
+import pytest
+
 from k1alex import (
     IntMatrix,
     MetabelianRepError,
@@ -10,11 +12,15 @@ from k1alex import (
     apply_nielsen,
     builtin,
     metabelian_rep,
+    parse_presentation,
     smith_normal_form,
     trivial_rep,
     validate_rep,
 )
+from k1alex.grouprings import GroupAut
 from k1alex.presentation import NielsenMove
+
+from helpers import STABILIZED_5_2
 
 
 def divisors_of(mat):
@@ -189,6 +195,39 @@ def test_torsion_order_is_nielsen_invariant():
             mv = NielsenMove(kind, i) if kind == "invert" else NielsenMove(kind, i, 3 - i)
             p = apply_nielsen(p, mv)
             assert metabelian_rep(p, n).group.order == base
+
+
+@pytest.mark.parametrize("name,n,divisors,kappa,images", [
+    ("4_1", 9, (76, 76), ((56, 59), (45, 23)), ((56, 65), (57, 67))),
+    ("5_2", 8, (3, 21), ((1, 2), (14, 20)), ((2, 12), (0, 13))),
+    ("3_1", 12, (), (), ((), ())),
+    ("stabilized 5_2", 6, (5, 35), ((1, 2), (21, 13)),
+     ((1, 23), (3, 1), (0, 0), (2, 26))),
+])
+def test_metabelian_rep_pinned_at_larger_covers(name, n, divisors, kappa, images):
+    """H, kappa and the images as read off the Smith normal form, at covers
+    whose cover matrix is 16 x 16 to 24 x 24."""
+    p = parse_presentation(STABILIZED_5_2) if name == "stabilized 5_2" else builtin(name)
+    rep = metabelian_rep(p, n)
+    assert rep.group.divisors == divisors
+    assert rep.kappa.matrix == kappa
+    assert rep.images == images
+
+
+def test_metabelian_rep_builds_no_table_for_a_large_group(monkeypatch):
+    """4_1 at N = 14 has |H| = 710645: reading kappa and validating the
+    representation act on a few elements only, never on all of H."""
+    calls = [0]
+    once = GroupAut._apply_once
+
+    def counting(self, e):
+        calls[0] += 1
+        return once(self, e)
+
+    monkeypatch.setattr(GroupAut, "_apply_once", counting)
+    rep = metabelian_rep(builtin("4_1"), 14)
+    assert rep.group.order == 710645
+    assert calls[0] < 1000
 
 
 def test_trivial_rep_basics():

@@ -111,11 +111,16 @@ def test_aut_order():
     assert GroupAut.identity(H).order == 1
 
 
-def test_aut_tables_compose_from_the_cached_chain(monkeypatch):
+@pytest.mark.parametrize("divisors,matrix,order", [
     # (16, 24) have order 7 mod 29; the upper-right 8 mixes the coordinates
-    H = FiniteAbelianGroup([29, 29])
-    kappa = GroupAut(H, [[16, 8], [0, 24]])
-    assert kappa.order == 7
+    ([29, 29], [[16, 8], [0, 24]], 7),
+    # |H| = 10201: tables serve Q[H] at any group order
+    ([101, 101], [[0, 1], [-1, 0]], 4),
+])
+def test_aut_tables_compose_from_the_cached_chain(monkeypatch, divisors, matrix, order):
+    H = FiniteAbelianGroup(divisors)
+    kappa = GroupAut(H, matrix)
+    assert kappa.order == order
     calls = [0]
     once = GroupAut._apply_once
 
@@ -129,11 +134,11 @@ def test_aut_tables_compose_from_the_cached_chain(monkeypatch):
     assert calls[0] <= 2 * H.order
     monkeypatch.undo()
     for p, table in tables.items():
-        assert all(table[e] == kappa._apply_power(e, p) for e in H.elements())
+        assert all(table[e] == kappa.apply(e, p) for e in H.elements())
     # any other request order gives the same tables
     rng = random.Random(7)
     other = GroupAut(H, kappa.matrix)
-    for p in rng.sample(range(1, 7), 6):
+    for p in rng.sample(range(1, order), order - 1):
         assert other._table(p) == tables[p]
 
 

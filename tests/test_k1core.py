@@ -239,7 +239,7 @@ def test_verdict_same_in_k1_invariant_and_fibered_obstruction(monkeypatch):
     assert eliminate(mx).delta is None
     p, rep = _feed_matrix(monkeypatch, mx)
     assert k1_invariant(p, rep, PREC).invertible == "no"
-    res = fibered_obstruction(p, [rep], PREC)
+    res = fibered_obstruction(p, [rep])
     assert res.verdicts == ("not-invertible",)
     assert res.certified_nonfibered
 
@@ -281,24 +281,24 @@ def test_stalled_elimination_verdict_read_off_det(monkeypatch):
             assert report.invertible == verdict
             assert report.delta is None and report.logs is None
             assert "no admissible pivot at stage" in report.note
-            assert fibered_obstruction(p, [rep], PREC).verdicts == (obstruction,)
+            assert fibered_obstruction(p, [rep]).verdicts == (obstruction,)
 
 
 def test_fibered_obstruction_verdicts():
     p3 = builtin("3_1")
     reps = [metabelian_rep(p3, n) for n in (2, 3, 6)]
-    res = fibered_obstruction(p3, reps, PREC)
+    res = fibered_obstruction(p3, reps)
     assert res.verdicts == ("invertible",) * 3
     assert not res.certified_nonfibered
     assert "consistent-with-fibered" in res.summary
     assert "non-fibered" not in res.summary
 
     p4 = builtin("4_1")
-    res4 = fibered_obstruction(p4, [metabelian_rep(p4, 2), metabelian_rep(p4, 3)], PREC)
+    res4 = fibered_obstruction(p4, [metabelian_rep(p4, 2), metabelian_rep(p4, 3)])
     assert res4.verdicts == ("invertible", "invertible")
 
     p5 = builtin("5_2")
-    res5 = fibered_obstruction(p5, [metabelian_rep(p5, 3)], PREC)
+    res5 = fibered_obstruction(p5, [metabelian_rep(p5, 3)])
     assert res5.verdicts == ("invertible",)
     assert res5.summary == "no obstruction found: consistent-with-fibered"
 
@@ -315,7 +315,7 @@ def test_fibered_obstruction_runs_no_elimination_or_log(monkeypatch):
     monkeypatch.setattr(k1core, "ns_log", refuse)
     for knot in ("3_1", "4_1", "5_2"):
         p = builtin(knot)
-        res = fibered_obstruction(p, [metabelian_rep(p, n) for n in (2, 3, 4)], PREC)
+        res = fibered_obstruction(p, [metabelian_rep(p, n) for n in (2, 3, 4)])
         assert res.verdicts == ("invertible",) * 3
 
 
@@ -360,7 +360,7 @@ def test_fibered_obstruction_certifies_once(monkeypatch):
 
     p, rep = _feed_matrix(monkeypatch, mx)
     calls = _count_det_calls(monkeypatch)
-    res = fibered_obstruction(p, [rep], K)
+    res = fibered_obstruction(p, [rep])
     assert res.verdicts == ("invertible",)
     assert res.summary == "no obstruction found: consistent-with-fibered"
     assert len(calls) == 1
@@ -377,7 +377,7 @@ def test_yes_verdict_computes_det_once(monkeypatch):
     assert report.invertible == "yes"
     assert len(calls) == 1
     assert calls[0].period == rep.kappa.order
-    res = fibered_obstruction(p, [rep, metabelian_rep(p, 3)], PREC)
+    res = fibered_obstruction(p, [rep, metabelian_rep(p, 3)])
     assert res.verdicts == ("invertible", "invertible")
     assert len(calls) == 3
 

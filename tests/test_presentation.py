@@ -58,6 +58,15 @@ def test_parse_error_cases(text, fragment):
         parse_presentation(text)
 
 
+def test_missing_relations_message_does_not_grow_with_genus():
+    """A header far above the relations it lists is reported by count and
+    first missing index, not by listing every missing index."""
+    with pytest.raises(ParseError, match="missing relation") as info:
+        parse_presentation("genus 1000000\ny1 = x1 ; z1 = x1")
+    assert len(str(info.value)) < 200
+    assert "1999999 of 2000000" in str(info.value) and "first 2" in str(info.value)
+
+
 def test_parse_error_carries_position():
     try:
         parse_presentation("genus 1\ny1 = x1 ; z1 = x1\noops")
