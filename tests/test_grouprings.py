@@ -111,35 +111,35 @@ def test_aut_order():
     assert GroupAut.identity(H).order == 1
 
 
-@pytest.mark.parametrize("divisors,matrix,order", [
-    # (16, 24) have order 7 mod 29; the upper-right 8 mixes the coordinates
-    ([29, 29], [[16, 8], [0, 24]], 7),
-    # |H| = 10201: tables serve Q[H] at any group order
-    ([101, 101], [[0, 1], [-1, 0]], 4),
-])
-def test_aut_tables_compose_from_the_cached_chain(monkeypatch, divisors, matrix, order):
-    H = FiniteAbelianGroup(divisors)
-    kappa = GroupAut(H, matrix)
-    assert kappa.order == order
-    calls = [0]
+def test_aut_tables_compose_from_the_cached_chain(monkeypatch):
     once = GroupAut._apply_once
+    for divisors, matrix, order in (
+        # (16, 24) have order 7 mod 29; the upper-right 8 mixes the coordinates
+        ([29, 29], [[16, 8], [0, 24]], 7),
+        # |H| = 10201: tables serve Q[H] at any group order
+        ([101, 101], [[0, 1], [-1, 0]], 4),
+    ):
+        H = FiniteAbelianGroup(divisors)
+        kappa = GroupAut(H, matrix)
+        assert kappa.order == order
+        calls = [0]
 
-    def counting(self, e):
-        calls[0] += 1
-        return once(self, e)
+        def counting(self, e):
+            calls[0] += 1
+            return once(self, e)
 
-    monkeypatch.setattr(GroupAut, "_apply_once", counting)
-    # descending, the order untwisting asks in
-    tables = {p: kappa._table(p) for p in range(kappa.order - 1, 0, -1)}
-    assert calls[0] <= 2 * H.order
-    monkeypatch.undo()
-    for p, table in tables.items():
-        assert all(table[e] == kappa.apply(e, p) for e in H.elements())
-    # any other request order gives the same tables
-    rng = random.Random(7)
-    other = GroupAut(H, kappa.matrix)
-    for p in rng.sample(range(1, order), order - 1):
-        assert other._table(p) == tables[p]
+        monkeypatch.setattr(GroupAut, "_apply_once", counting)
+        # descending, the order untwisting asks in
+        tables = {p: kappa._table(p) for p in range(order - 1, 0, -1)}
+        assert calls[0] <= 2 * H.order
+        monkeypatch.undo()
+        for p, table in tables.items():
+            assert all(table[e] == kappa.apply(e, p) for e in H.elements())
+        # any other request order gives the same tables
+        rng = random.Random(7)
+        other = GroupAut(H, kappa.matrix)
+        for p in rng.sample(range(1, order), order - 1):
+            assert other._table(p) == tables[p]
 
 
 def test_aut_rejects_non_bijective():
