@@ -150,7 +150,7 @@ def build_fox_matrix(p: MeridianPresentation, rep: MetaRep,
                 terms[1] = dy.apply_aut(kappa)  # tau * a = kappa(a) tau
             if not dz.is_zero():
                 terms[0] = -dz
-            row.append(NovikovSeries.from_map(kappa, terms, precision))
+            row.append(NovikovSeries(kappa, terms, precision))
         rows.append(row)
     return NovikovMatrix(rows, genus=p.genus)
 

@@ -4,12 +4,12 @@ A series sum_i a_i tau^i with a_i in Q[H] and finitely many negative terms,
 subject to the twisting rule tau^n a = kappa^n(a) tau^n.  Coefficients are
 always written on the left of tau powers.
 
-Truncation model: a series knows the coefficients of tau^d .. tau^(top-1)
-exactly and guarantees that every coefficient below d vanishes; nothing is
-known at degrees >= top.  Binary operations produce the largest window both
-operands support.  The canonical zero series stores no coefficients and is
-distinguished from a series whose known window merely happens to vanish by
-its explicit window bounds; all zero tests are window-relative.
+Truncation model: a series is a map from tau-degrees to its nonzero
+coefficients, all below a knowledge bound ``top``; it guarantees that every
+coefficient absent from the map below ``top`` vanishes, and knows nothing at
+degrees >= top.  Its lowest stored degree is ``min_deg`` (``top`` for the
+zero series).  Binary operations produce the largest window both operands
+support, and all zero tests and equalities are window-relative.
 
 Unit inversion requires an invertible leading coefficient (leading-unit
 series); 1 - tau and every monomial u tau^k with u a unit of Q[H] are the
@@ -45,52 +45,40 @@ class SeriesError(ValueError):
     """Raised on incompatible operands or non-invertible leading terms."""
 
 
+def format_terms(terms: Mapping[int, GroupAlgebraElem], var: str) -> str:
+    """``(c)*var^d`` summands in increasing degree, or "0" for no terms."""
+    parts = []
+    for d in sorted(terms):
+        c = terms[d]
+        parts.append(f"({c})" if d == 0 else f"({c})*{var}" if d == 1
+                     else f"({c})*{var}^{d}")
+    return " + ".join(parts) or "0"
+
+
 class NovikovSeries:
     """Truncated element of the Novikov ring A_kappa((tau))."""
 
-    __slots__ = ("kappa", "min_deg", "coeffs", "top")
+    __slots__ = ("kappa", "terms", "top")
 
-    def __init__(self, kappa: GroupAut, min_deg: int,
-                 coeffs: tuple[GroupAlgebraElem, ...], top: int | None = None):
+    def __init__(self, kappa: GroupAut, terms: Mapping[int, GroupAlgebraElem],
+                 top: int):
         self.kappa = kappa
-        if top is None:
-            top = min_deg + len(coeffs)
-        if top != min_deg + len(coeffs):
-            raise SeriesError("window bounds disagree with coefficient count")
-        # strip leading zeros: shrinks the window from below
-        while coeffs and coeffs[0].is_zero():
-            coeffs = coeffs[1:]
-            min_deg += 1
-        if not coeffs:
-            min_deg = top
-        self.min_deg = min_deg
-        self.coeffs = coeffs
+        self.terms: dict[int, GroupAlgebraElem] = {
+            d: c for d, c in sorted(terms.items()) if c}
+        if self.terms and next(reversed(self.terms)) >= top:
+            raise SeriesError("coefficient at or above the knowledge bound")
         self.top = top
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, kappa: GroupAut, top: int) -> "NovikovSeries":
-        return cls(kappa, top, (), top)
-
-    @classmethod
-    def from_map(cls, kappa: GroupAut, terms: Mapping[int, GroupAlgebraElem],
-                 top: int) -> "NovikovSeries":
-        terms = {d: c for d, c in terms.items() if not c.is_zero()}
-        if not terms:
-            return cls.zero(kappa, top)
-        lo = min(terms)
-        if max(terms) >= top:
-            raise SeriesError("coefficient at or above the knowledge bound")
-        group = kappa.group
-        coeffs = tuple(terms.get(d, GroupAlgebraElem.zero(group))
-                       for d in range(lo, top))
-        return cls(kappa, lo, coeffs, top)
+        return cls(kappa, {}, top)
 
     @classmethod
     def monomial(cls, kappa: GroupAut, coeff: GroupAlgebraElem, deg: int,
                  window: int = DEFAULT_PRECISION) -> "NovikovSeries":
-        return cls.from_map(kappa, {deg: coeff}, deg + window)
+        return cls(kappa, {deg: coeff}, deg + window)
 
     @classmethod
     def one(cls, kappa: GroupAut, window: int = DEFAULT_PRECISION) -> "NovikovSeries":
@@ -103,27 +91,33 @@ class NovikovSeries:
         return self.kappa.group
 
     @property
+    def min_deg(self) -> int:
+        return next(iter(self.terms), self.top)
+
+    @property
     def window(self) -> int:
         return self.top - self.min_deg
+
+    @property
+    def coeffs(self) -> tuple[GroupAlgebraElem, ...]:
+        """Dense read-only view of the coefficients of tau^min_deg .. tau^(top-1)."""
+        return tuple(self.coefficient(d) for d in range(self.min_deg, self.top))
 
     def coefficient(self, deg: int) -> GroupAlgebraElem:
         if deg >= self.top:
             raise SeriesError(f"coefficient of tau^{deg} is beyond the window (top {self.top})")
-        if deg < self.min_deg:
-            return GroupAlgebraElem.zero(self.group)
-        return self.coeffs[deg - self.min_deg]
+        return self.terms.get(deg) or GroupAlgebraElem.zero(self.group)
 
     def support(self) -> list[int]:
-        return [self.min_deg + i for i, c in enumerate(self.coeffs) if not c.is_zero()]
+        return list(self.terms)
 
     def is_zero(self) -> bool:
         """All known coefficients vanish (window-relative)."""
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.terms
 
     def leading(self) -> tuple[int, GroupAlgebraElem]:
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return self.min_deg + i, c
+        for d, c in self.terms.items():
+            return d, c
         raise SeriesError("zero series has no leading coefficient")
 
     def _check(self, other: "NovikovSeries") -> None:
@@ -135,18 +129,16 @@ class NovikovSeries:
     def __add__(self, other: "NovikovSeries") -> "NovikovSeries":
         self._check(other)
         top = min(self.top, other.top)
-        terms: dict[int, GroupAlgebraElem] = {}
-        for s in (self, other):
-            for i, c in enumerate(s.coeffs):
-                d = s.min_deg + i
-                if d >= top or c.is_zero():
-                    continue
-                terms[d] = terms[d] + c if d in terms else c
-        return NovikovSeries.from_map(self.kappa, terms, top)
+        terms = {d: c for d, c in self.terms.items() if d < top}
+        for d, c in other.terms.items():
+            if d >= top:
+                break
+            terms[d] = terms[d] + c if d in terms else c
+        return NovikovSeries(self.kappa, terms, top)
 
     def __neg__(self) -> "NovikovSeries":
-        return NovikovSeries(self.kappa, self.min_deg,
-                             tuple(-c for c in self.coeffs), self.top)
+        return NovikovSeries(self.kappa, {d: -c for d, c in self.terms.items()},
+                             self.top)
 
     def __sub__(self, other: "NovikovSeries") -> "NovikovSeries":
         return self + (-other)
@@ -155,37 +147,32 @@ class NovikovSeries:
         self._check(other)
         # knowledge bound: unknown tail of one factor times leading known
         # degree of the other
-        top = min(self.top + other.min_deg, other.top + self.min_deg)
+        lo = other.min_deg
+        top = min(self.top + lo, other.top + self.min_deg)
         terms: dict[int, GroupAlgebraElem] = {}
         kappa = self.kappa
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            d1 = self.min_deg + i
-            if d1 + other.min_deg >= top:
+        for d1, a in self.terms.items():
+            if d1 + lo >= top:
                 break
-            for j, b in enumerate(other.coeffs):
-                d = d1 + other.min_deg + j
+            for d2, b in other.terms.items():
+                d = d1 + d2
                 if d >= top:
                     break
-                if b.is_zero():
-                    continue
                 c = a * b.apply_aut(kappa, d1)
                 terms[d] = terms[d] + c if d in terms else c
-        return NovikovSeries.from_map(kappa, terms, top)
+        return NovikovSeries(kappa, terms, top)
 
     def shift(self, k: int) -> "NovikovSeries":
         """Left multiplication by tau^k: twists coefficients by kappa^k."""
-        return NovikovSeries(self.kappa, self.min_deg + k,
-                             tuple(c.apply_aut(self.kappa, k) for c in self.coeffs),
+        return NovikovSeries(self.kappa, {d + k: c.apply_aut(self.kappa, k)
+                                          for d, c in self.terms.items()},
                              self.top + k)
 
     def truncate(self, top: int) -> "NovikovSeries":
         if top >= self.top:
             return self
-        keep = max(0, top - self.min_deg)
-        return NovikovSeries(self.kappa, min(self.min_deg, top),
-                             self.coeffs[:keep], top)
+        return NovikovSeries(self.kappa, {d: c for d, c in self.terms.items()
+                                          if d < top}, top)
 
     # -- comparisons -------------------------------------------------------
 
@@ -196,26 +183,12 @@ class NovikovSeries:
         if self.kappa != other.kappa:
             return False
         top = min(self.top, other.top)
-        lo = min(self.min_deg, other.min_deg)
-        for d in range(lo, top):
-            if self.coefficient(d) != other.coefficient(d):
-                return False
-        return True
+        return self.truncate(top).terms == other.truncate(top).terms
 
     __hash__ = None  # window-relative equality is not hashable
 
     def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            d = self.min_deg + i
-            if d == 0:
-                parts.append(f"({c})")
-            else:
-                parts.append(f"({c})*tau^{d}" if d != 1 else f"({c})*tau")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(tau^{self.top})"
+        return f"{format_terms(self.terms, 'tau')} + O(tau^{self.top})"
 
     __repr__ = __str__
 
@@ -223,14 +196,14 @@ class NovikovSeries:
 class WittVector(NovikovSeries):
     """A unit series 1 + a_1 tau + a_2 tau^2 + ... (constant term exactly 1)."""
 
-    def __init__(self, kappa, min_deg, coeffs, top=None):
-        super().__init__(kappa, min_deg, coeffs, top)
+    def __init__(self, kappa, terms, top):
+        super().__init__(kappa, terms, top)
         if self.min_deg != 0 or self.coefficient(0) != GroupAlgebraElem.one(self.group):
             raise SeriesError("a Witt vector must start with constant term 1")
 
     @classmethod
     def from_series(cls, s: NovikovSeries) -> "WittVector":
-        return cls(s.kappa, s.min_deg, s.coeffs, s.top)
+        return cls(s.kappa, s.terms, s.top)
 
 
 def ns_invert(a: NovikovSeries) -> NovikovSeries:
@@ -238,25 +211,28 @@ def ns_invert(a: NovikovSeries) -> NovikovSeries:
 
     With a = sum_i c_i tau^(d+i) and u = c_0^-1, the tau^n coefficient of
     b a = 1 gives b = sum_n b_n tau^(n-d) one coefficient at a time, b_0 =
-    kappa^-d(u) and b_n = -kappa^(n-d)(u) sum_(j<n) b_j kappa^(j-d)(c_(n-j)):
-    O(K^2) products by a's own coefficients and one :func:`gr_inverse`, on
-    the window [-d, a.top - 2d).  A non-unit leading coefficient raises: such
-    a series may still be invertible in the Novikov ring, but not by this
-    route.
+    kappa^-d(u) and b_n = -kappa^(n-d)(u) sum_(0<i<=n) b_(n-i) kappa^(n-i-d)(c_i),
+    the sum running over a's stored terms only: O(K * |terms|) products and
+    one :func:`gr_inverse`, on the window [-d, a.top - 2d).  A non-unit
+    leading coefficient raises: such a series may still be invertible in the
+    Novikov ring, but not by this route.
     """
     d, lead = a.leading()
     u = gr_inverse(lead)
     if u is None:
         raise SeriesError(f"leading coefficient ({lead}) is not a unit")
-    kappa, c = a.kappa, a.coeffs
+    kappa = a.kappa
+    # (i, c_i) for the terms past the lead, highest i first, so that each
+    # sum adds its products in increasing j = n - i
+    tail = [(e - d, c) for e, c in reversed(a.terms.items()) if e > d]
     b = [u.apply_aut(kappa, -d)]
-    for n in range(1, len(c)):
+    for n in range(1, a.top - d):
         acc = GroupAlgebraElem.zero(a.group)
-        for j in range(n):
-            if b[j] and c[n - j]:
-                acc = acc - b[j] * c[n - j].apply_aut(kappa, j - d)
+        for i, c in tail:
+            if i <= n and b[n - i]:
+                acc = acc - b[n - i] * c.apply_aut(kappa, n - i - d)
         b.append(acc * u.apply_aut(kappa, n - d))
-    return NovikovSeries(kappa, -d, tuple(b), a.top - 2 * d)
+    return NovikovSeries(kappa, dict(enumerate(b, -d)), a.top - 2 * d)
 
 
 def witt_normalize(a: NovikovSeries) -> tuple[GroupAlgebraElem, int, WittVector]:

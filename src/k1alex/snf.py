@@ -158,10 +158,11 @@ def smith_normal_form(A: IntMatrix | Sequence[Sequence[int]]) -> SNFResult:
 
 
 def _verify_snf(A: IntMatrix, r: SNFResult) -> None:
-    if (r.U @ A) @ r.V != r.D:
-        raise SNFError("U A V != D")
-    if r.U @ r.U_inv != IntMatrix.identity(r.U.nrows):
-        raise SNFError("U_inv is not the inverse of U")
+    """Check that D is a chain of divisors, U U_inv = I and U A V = D.
+
+    U is square, so once U U_inv = I holds, U A V = D is A V = U_inv D, and
+    for diagonal D that product only scales U_inv's columns: two dense
+    products in all."""
     ds = r.divisors
     for i in range(r.D.nrows):
         for j in range(r.D.ncols):
@@ -172,4 +173,9 @@ def _verify_snf(A: IntMatrix, r: SNFResult) -> None:
             raise SNFError("zero divisor precedes nonzero one")
         if a != 0 and b % a != 0:
             raise SNFError(f"divisibility chain broken: {a} then {b}")
-
+    if r.U @ r.U_inv != IntMatrix.identity(r.U.nrows):
+        raise SNFError("U_inv is not the inverse of U")
+    scaled = [[row[j] * ds[j] if j < len(ds) else 0 for j in range(r.D.ncols)]
+              for row in r.U_inv.rows]
+    if (A @ r.V).rows != scaled:
+        raise SNFError("U A V != D")

@@ -38,7 +38,7 @@ from .grouprings import (
     character_images,
 )
 from .k1core import UPSILON_WINDOW, NovikovMatrix, build_fox_matrix
-from .novikov import NovikovSeries
+from .novikov import NovikovSeries, format_terms
 from .presentation import MeridianPresentation
 
 
@@ -125,16 +125,7 @@ class LaurentPolyGA:
         return bool(self.terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for d in sorted(self.terms):
-            c = self.terms[d]
-            if d == 0:
-                parts.append(f"({c})")
-            else:
-                parts.append(f"({c})*t^{d}" if d != 1 else f"({c})*t")
-        return " + ".join(parts)
+        return format_terms(self.terms, "t")
 
     __repr__ = __str__
 
@@ -172,8 +163,7 @@ def upsilon_elem(a: NovikovSeries, period: int) -> UpsilonMatrix:
     group = kappa.group
     N = period
     blk = [[LaurentPolyGA.zero(group) for _ in range(N)] for _ in range(N)]
-    for ell in a.support():
-        coeff = a.coefficient(ell)
+    for ell, coeff in a.terms.items():
         for i in range(1, N + 1):
             j = (i - 1 - ell) % N
             twisted = coeff.apply_aut(kappa, N + 1 - i)

@@ -93,7 +93,7 @@ def test_criterion_01_trefoil_class():
     report = k1_invariant(p, trivial_rep(p), 12)
     k = report.witt.kappa
     one = GroupAlgebraElem.one(k.group)
-    expected = NovikovSeries.from_map(k, {0: one, 1: -one, 2: one}, report.witt.top)
+    expected = NovikovSeries(k, {0: one, 1: -one, 2: one}, report.witt.top)
     ok = (report.invertible == "yes" and report.degree == -1
           and report.witt == expected)
     check("criterion 1: trefoil Witt representative tau - 1 + tau^-1", ok)
@@ -170,7 +170,7 @@ def _figure8_double_delta_reference(rep, top):
     one = GroupAlgebraElem.one(g)
     mid = _x_powers(rep, {1: -1, 0: -1, 4: -1})
     x = GroupAlgebraElem.of(g, rep.images[0])
-    return NovikovSeries.from_map(rep.kappa, {-1: one, 0: mid, 1: x}, top)
+    return NovikovSeries(rep.kappa, {-1: one, 0: mid, 1: x}, top)
 
 
 def test_criterion_05a_figure8_double_delta():
@@ -230,7 +230,7 @@ def _closed_form_delta(rep, top):
     A, B = rep.images
     Binv = g.neg(B)
     mid = _ga(g, {kap.apply(Binv): -1}) + _ga(g, {Binv: -1}) + _ga(g, {A: -1})
-    return NovikovSeries.from_map(
+    return NovikovSeries(
         kap, {-1: GroupAlgebraElem.of(g, Binv), 0: mid,
               1: GroupAlgebraElem.of(g, kap.apply(Binv))}, top)
 
@@ -382,7 +382,7 @@ def _52_reference_expression(rep, top):
     mid = _xy_powers(rep, {(-1, 1): -1, (-2, 1): -1, (1, -3): 1,
                            (0, 0): -1, (-1, 3): -1})
     hi = _xy_powers(rep, {(-1, 3): 1, (-2, 1): 1})
-    return NovikovSeries.from_map(rep.kappa, {-1: lo, 0: mid, 1: hi}, top)
+    return NovikovSeries(rep.kappa, {-1: lo, 0: mid, 1: hi}, top)
 
 
 def test_criterion_07b_52_reference_coefficients():

@@ -10,6 +10,14 @@ installed or written.
 
 from pathlib import Path
 
+from k1alex import (
+    GroupAlgebraElem,
+    builtin,
+    k1_invariant,
+    metabelian_rep,
+    metafinite_polynomial,
+)
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -41,3 +49,25 @@ def test_inverse_cache_is_a_dict():
 
 def test_nothing_is_wrapped_without_a_tracer():
     assert _tracing()["wrapped_names"]() == []
+
+
+def test_bench_reads_of_a_report_resolve():
+    """What ``bench/worker.py`` reads off a result in ``check``,
+    ``max_coeff_bits`` and ``layer_metrics``: the Witt part's dense
+    ``coeffs`` view, the pivot trace, the logs and the polynomial's terms."""
+    p = builtin("4_1")
+    rep = metabelian_rep(p, 2)
+    report = k1_invariant(p, rep, 8)
+    poly = metafinite_polynomial(p, rep)
+    assert report.invertible == "yes"
+    witt = list(report.witt.coeffs)
+    assert len(witt) == report.witt.window
+    assert all(isinstance(a, GroupAlgebraElem) and isinstance(a.coeffs, dict)
+               for a in witt)
+    assert report.pivot_trace
+    assert all(isinstance(s.witt_type, bool) for s in report.pivot_trace)
+    assert isinstance(report.swaps, int)
+    assert report.logs.degrees()
+    assert all(isinstance(report.logs[k].coeffs, dict) for k in report.logs.degrees())
+    assert poly.terms
+    assert all(isinstance(a.coeffs, dict) for a in poly.terms.values())

@@ -1,6 +1,7 @@
 """Smith normal form and cover-derived metabelian representations."""
 
 import random
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -19,6 +20,7 @@ from k1alex import (
 )
 from k1alex.grouprings import GroupAut
 from k1alex.presentation import NielsenMove
+from k1alex.snf import SNFError, _verify_snf
 
 from helpers import STABILIZED_5_2
 
@@ -105,6 +107,22 @@ def test_snf_u_inv_round_trip():
         r = smith_normal_form(M)
         assert r.U @ r.U_inv == IntMatrix.identity(n)
         assert r.U_inv @ r.U == IntMatrix.identity(n)
+
+
+def test_snf_check_catches_a_corrupted_factor():
+    """On a nonsingular cover matrix, bumping any one entry of U, U_inv, V or
+    D breaks U A V = D or U U_inv = I, and the check raises."""
+    A = alexander_presentation(builtin("4_1"), 2).transpose()
+    r = smith_normal_form(A)
+    assert r.divisors == [1, 1, 1, 5]
+    for name in ("U", "U_inv", "V", "D"):
+        M = getattr(r, name)
+        for i in range(M.nrows):
+            for j in range(M.ncols):
+                rows = [row[:] for row in M.rows]
+                rows[i][j] += 1
+                with pytest.raises(SNFError):
+                    _verify_snf(A, replace(r, **{name: IntMatrix(rows)}))
 
 
 def test_alexander_presentation_torsion():

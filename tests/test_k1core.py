@@ -47,7 +47,7 @@ def _mono(kappa, coeffs, deg, window=PREC):
 
 
 def _poly(kappa, terms, top=PREC):
-    return NovikovSeries.from_map(
+    return NovikovSeries(
         kappa, {d: GroupAlgebraElem(kappa.group, c) for d, c in terms.items()}, top)
 
 
@@ -166,7 +166,7 @@ def _rand_unit_leading_2x2(rng, kappa):
         terms = {0: rand_unit_ga(rng, kappa.group)}
         if rng.random() < 0.8:
             terms[1] = rand_ga(rng, kappa.group)
-        entries.append(NovikovSeries.from_map(kappa, terms, PREC))
+        entries.append(NovikovSeries(kappa, terms, PREC))
     a, b, c, d = entries
     return NovikovMatrix([[a, b], [c, d]])
 
@@ -253,7 +253,7 @@ def _matmul(A, B):
 def _rand_elementary(rng, kappa):
     """[[1, a], [0, 1]] or its transpose, a = a0 + a1 tau random over Q[H]."""
     one, zero = _poly(kappa, {0: {(0,): 1}}), _poly(kappa, {})
-    a = NovikovSeries.from_map(kappa, {0: rand_ga(rng, kappa.group),
+    a = NovikovSeries(kappa, {0: rand_ga(rng, kappa.group),
                                        1: rand_ga(rng, kappa.group)}, PREC)
     return [[one, a], [zero, one]] if rng.random() < 0.5 else [[one, zero], [a, one]]
 

@@ -36,7 +36,7 @@ W = 10  # window for the random suites
 
 def series(kappa, terms, top=W):
     group = kappa.group
-    return NovikovSeries.from_map(
+    return NovikovSeries(
         kappa, {d: GroupAlgebraElem(group, c) for d, c in terms.items()}, top)
 
 
@@ -46,7 +46,7 @@ def rand_series(rng, kappa, neg=True):
     for _ in range(rng.randint(1, 4)):
         d = rng.randint(lo, lo + 4)
         terms[d] = rand_ga(rng, kappa.group, denominators=True)
-    return NovikovSeries.from_map(kappa, terms, lo + W)
+    return NovikovSeries(kappa, terms, lo + W)
 
 
 def det_log(w):
@@ -62,7 +62,7 @@ def rand_unit_leading(rng, kappa):
     for _ in range(rng.randint(0, 3)):
         d = rng.randint(lo + 1, lo + 4)
         terms[d] = rand_ga(rng, kappa.group)
-    return NovikovSeries.from_map(kappa, terms, lo + W)
+    return NovikovSeries(kappa, terms, lo + W)
 
 
 def test_twisting_rule():
@@ -146,7 +146,7 @@ def test_inverse_window_with_non_monomial_leads():
             terms = {d: lead}
             for _ in range(rng.randint(0, 4) if window > 1 else 0):
                 terms[rng.randint(d + 1, d + window - 1)] = rand_ga(rng, kappa.group)
-            a = NovikovSeries.from_map(kappa, terms, d + window)
+            a = NovikovSeries(kappa, terms, d + window)
             inv = ns_invert(a)
             assert (inv.min_deg, inv.top) == (-d, a.top - 2 * d)
             one = NovikovSeries.one(kappa, a.window)
@@ -214,7 +214,7 @@ def test_log_additivity_random_suite():
             terms = {0: one}
             for _ in range(rng.randint(1, 3)):
                 terms[rng.randint(1, 4)] = rand_ga(rng, kappa.group)
-            tails.append(NovikovSeries.from_map(kappa, terms, 9))
+            tails.append(NovikovSeries(kappa, terms, 9))
         u, v = tails
         lu, lv, luv = det_log(u), det_log(v), det_log(u * v)
         for k in luv.degrees():
@@ -229,7 +229,7 @@ def test_log_against_dict_oracle():
         terms = {0: one}
         for _ in range(rng.randint(1, 3)):
             terms[rng.randint(1, 4)] = rand_ga(rng, kappa.group, denominators=True)
-        w = NovikovSeries.from_map(kappa, terms, 9)
+        w = NovikovSeries(kappa, terms, 9)
         lc = det_log(w)
         oracle = dict_series_log(kappa, terms, 9)
         assert lc.degrees() == [2, 4, 6, 8]
@@ -241,7 +241,7 @@ def test_log_against_dict_oracle():
 def test_log_entries_only_at_multiples_of_order():
     _, kappa = z5_negation()
     one = GroupAlgebraElem.one(kappa.group)
-    w = NovikovSeries.from_map(
+    w = NovikovSeries(
         kappa, {0: one, 1: GroupAlgebraElem.of(kappa.group, (2,))}, 9)
     lc = det_log(w)
     assert lc.degrees() == [2, 4, 6, 8]
@@ -260,7 +260,7 @@ def test_log_augmentation_consistency():
         terms = {0: one}
         for _ in range(rng.randint(1, 3)):
             terms[rng.randint(1, 4)] = rand_ga(rng, kappa.group)
-        w = NovikovSeries.from_map(kappa, terms, 9)
+        w = NovikovSeries(kappa, terms, 9)
         lc = det_log(w)
         aug = {d: c.augmentation() for d, c in
                ((d, terms.get(d)) for d in range(0, 9)) if c is not None}
@@ -291,6 +291,10 @@ def test_zero_series_representation():
     assert cancel == NovikovSeries.zero(kappa, W)
     with pytest.raises(SeriesError):
         cancel.leading()
+    assert (z.min_deg, z.window, z.coeffs) == (5, 0, ())
+    # no term may sit at or above the knowledge bound
+    with pytest.raises(SeriesError, match="knowledge bound"):
+        series(kappa, {0: {(1,): 1}, 5: {(2,): 1}}, top=5)
 
 
 def test_window_semantics_on_mixed_ops():
@@ -302,6 +306,17 @@ def test_window_semantics_on_mixed_ops():
     # unknown tail of b (>= tau^4) against a's lowest degree 0 gives tau^4
     assert (a * b).top == 4
     assert a == a.truncate(3)  # equality on the common window only
+    # when the lowest terms cancel, min_deg and the lead move up to the first
+    # surviving degree
+    c = series(kappa, {-2: {(): 1}, 0: {(): 3}, 2: {(): 5}}, top=7)
+    s = c + series(kappa, {-2: {(): -1}, 0: {(): -3}, 1: {(): 2}}, top=6)
+    assert (s.min_deg, s.top) == (1, 6)
+    assert s.leading() == (1, GroupAlgebraElem.of(kappa.group, (), 2))
+    assert s.support() == [1, 2]
+    # coeffs is the dense view of the window [min_deg, top)
+    for t in (c, s, s.truncate(2), NovikovSeries.zero(kappa, 3)):
+        assert t.coeffs == tuple(t.coefficient(d) for d in range(t.min_deg, t.top))
+    assert len(c.coeffs) == c.window == 9
 
 
 def test_witt_vector_validates():

@@ -41,7 +41,7 @@ from helpers import (
 
 
 def _series(kappa, terms, top=8):
-    return NovikovSeries.from_map(
+    return NovikovSeries(
         kappa, {d: GroupAlgebraElem(kappa.group, c) for d, c in terms.items()}, top)
 
 
@@ -70,7 +70,7 @@ def test_upsilon_order3_block_layout():
     H, kappa = z4sq_order3()
     rng = random.Random(50)
     a, b, c = (rand_ga(rng, H) for _ in range(3))
-    s = NovikovSeries.from_map(kappa, {0: a, 1: b, 2: c}, 8)
+    s = NovikovSeries(kappa, {0: a, 1: b, 2: c}, 8)
     U = upsilon_elem(s, 3)
     k = lambda v, j: v.apply_aut(kappa, j)
     L = lambda v, d: LaurentPolyGA.monomial(v, d)
@@ -139,8 +139,8 @@ def test_upsilon_ring_homomorphism_suite():
         gterms = {d: rand_ga(rng, H) for d in
                   rng.sample(range(-3, 5), rng.randint(1, 3))}
         # windows wide enough that the polynomial products are exact
-        f = NovikovSeries.from_map(kappa, fterms, 16)
-        g = NovikovSeries.from_map(kappa, gterms, 16)
+        f = NovikovSeries(kappa, fterms, 16)
+        g = NovikovSeries(kappa, gterms, 16)
         fg = f * g
         assert fg.top > 8, "operands must stay polynomial on the window"
         lhs = upsilon_elem(fg, 2)
