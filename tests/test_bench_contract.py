@@ -1,11 +1,14 @@
-"""The library names the benchmark's tracer rebinds must keep resolving.
+"""The library names the benchmark's tracer rebinds, and the result fields
+its worker reads, must keep resolving.
 
 ``bench/tracing.py`` times the library by rebinding module-level names
 (``k1core.ns_log``, ``upsilon.det_commutative``, ...) and counting calls of
 a few methods.  A refactor that drops or renames one of them would fail
 every bench job; this test fails first.  The tracer is read from its file
 and executed in a fresh namespace, so nothing under ``bench/`` is imported,
-installed or written.
+installed or written.  ``bench/worker.py`` checks and measures each result
+through a few attributes of the report and the polynomial; the last test
+reads the same ones off a small run.
 """
 
 from pathlib import Path
