@@ -6,6 +6,14 @@ divisibility chain d_1 | d_2 | ... | d_r; elements are exponent tuples.  A
 divisors.  :class:`GroupAlgebraElem` is a finitely supported map from group
 elements to exact rationals, i.e. an element of Q[H].
 
+A product in Q[H] takes one of two paths.  Small products run the schoolbook
+double loop over the two coefficient dicts.  A product with at least 16 term
+pairs, and at least a quarter as many pairs as there are Kronecker slots
+prod (2 d_i - 1), clears each operand's denominators, packs its integer
+numerators into one Python int (Kronecker substitution: one mixed-radix slot
+per exponent vector of the uncarried product), multiplies the two ints once,
+and folds the signed slots back onto H modulo each d_i.
+
 Q[H] is a product of cyclotomic fields, Q[H] = prod Q(zeta_m), with one
 factor per Galois orbit of characters of H (Perlis-Walker): a character chi
 of order m sends a to chi(a) in Q[x]/Phi_m.  Every unit test and inverse in
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, zip_longest
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterator, Mapping, Sequence
 
 from .snf import smith_normal_form
@@ -120,7 +128,7 @@ class GroupAut:
     divisor of the r x 2r matrix [M | diag(d)] is 1.
     """
 
-    __slots__ = ("group", "matrix", "_order", "_perms")
+    __slots__ = ("group", "matrix", "_order", "_perms", "_reps")
 
     def __init__(self, group: FiniteAbelianGroup, matrix: Sequence[Sequence[int]]):
         r = group.rank
@@ -137,6 +145,7 @@ class GroupAut:
                     raise GroupError("matrix does not define a map on the group")
         self._order: int | None = None
         self._perms: dict[int, dict[Element, Element]] = {}
+        self._reps: dict[Element, Element] | None = None
         snf = smith_normal_form([list(row) + [d[i] if j == i else 0 for j in range(r)]
                                  for i, row in enumerate(matrix)])
         if any(x != 1 for x in snf.divisors):
@@ -196,6 +205,21 @@ class GroupAut:
             sum(self.matrix[i][j] * e[j] for j in range(g.rank)) % g.divisors[i]
             for i in range(g.rank)
         )
+
+    def _orbit_reps(self) -> dict[Element, Element]:
+        """e -> the least element of its kappa-orbit, tabulated once from
+        kappa's table.  Elements are visited in increasing order, so the
+        first one met on an orbit is its least."""
+        if self._reps is None:
+            once, reps = self._table(1), {}
+            for e in self.group.elements():
+                if e not in reps:
+                    cur = e
+                    while cur not in reps:
+                        reps[cur] = e
+                        cur = once[cur]
+            self._reps = reps
+        return self._reps
 
     def orbit(self, e: Element) -> list[Element]:
         out = [e]
@@ -275,6 +299,9 @@ class GroupAlgebraElem:
             return self.scale(Fraction(other))
         self._check(other)
         g = self.group
+        pairs = len(self.coeffs) * len(other.coeffs)
+        if pairs >= 16 and 4 * pairs >= prod(2 * d - 1 for d in g.divisors):
+            return _packed_product(self, other)
         out: dict[Element, Fraction] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -335,6 +362,63 @@ class GroupAlgebraElem:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+@lru_cache(maxsize=None)
+def _kronecker_layout(divisors: tuple[int, ...]):
+    """Slot of each element, and element index of each slot, for packing
+    Z/d_1 x ... x Z/d_r with 2 d_i - 1 slots per factor, the last factor the
+    lowest digit.  A slot is an exponent vector k with k_i < 2 d_i - 1, so
+    the exponents of a product of two elements never carry; slot k folds
+    onto the element (k_i mod d_i), indexed in ``elements()`` order."""
+    radix = [2 * d - 1 for d in divisors]
+    slot_step = [prod(radix[i + 1:]) for i in range(len(divisors))]
+    elem_step = [prod(divisors[i + 1:]) for i in range(len(divisors))]
+    elements = tuple(product(*(range(d) for d in divisors)))
+    slot_of = {e: sum(x * s for x, s in zip(e, slot_step)) for e in elements}
+    fold = tuple(sum(k % d * s for k, d, s in zip(ks, divisors, elem_step))
+                 for ks in product(*(range(n) for n in radix)))
+    return slot_of, fold, elements
+
+
+def _packed_product(a: GroupAlgebraElem, b: GroupAlgebraElem) -> GroupAlgebraElem:
+    """a * b by Kronecker substitution, exactly: one product of two ints.
+
+    Each operand becomes den * a with den the lcm of its denominators, an
+    integer vector packed at its elements' slots.  A slot of the product
+    sums at most min(|a|, |b|) products of numerators, so a slot of
+    ``width`` bytes holds it signed.  Adding 2^(8 width - 1) to every slot
+    makes all slots nonnegative, so they read off as bytes without borrows.
+    """
+    slot_of, fold, elements = _kronecker_layout(a.group.divisors)
+    packed, dens, sizes = [], [], []
+    for x in (a, b):
+        den = lcm(*(c.denominator for c in x.coeffs.values()))
+        nums = [(e, c.numerator * (den // c.denominator)) for e, c in x.coeffs.items()]
+        packed.append(nums)
+        dens.append(den)
+        sizes.append(max(abs(n) for _, n in nums))
+    bound = sizes[0] * sizes[1] * min(len(a.coeffs), len(b.coeffs))
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    offset_slot = bytes(width - 1) + b"\x80"
+    offset = int.from_bytes(offset_slot * len(fold), "little")
+    ints = []
+    for nums in packed:
+        buf = bytearray(offset_slot * len(fold))
+        for e, n in nums:
+            k = slot_of[e] * width
+            buf[k:k + width] = (n + half).to_bytes(width, "little")
+        ints.append(int.from_bytes(buf, "little") - offset)
+    raw = (ints[0] * ints[1] + offset).to_bytes(width * len(fold), "little")
+    sums = [0] * len(elements)
+    for k, i in enumerate(fold):
+        n = int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
+        if n:
+            sums[i] += n
+    den = dens[0] * dens[1]
+    return GroupAlgebraElem._reduced(
+        a.group, {elements[i]: Fraction(n, den) for i, n in enumerate(sums) if n})
 
 
 @lru_cache(maxsize=None)
@@ -503,9 +587,10 @@ def orbit_project(a: GroupAlgebraElem, kappa: GroupAut) -> OrbitClass:
     """Project onto the kappa-coinvariants A / {a - kappa(a)}."""
     if kappa.group != a.group:
         raise GroupError("automorphism acts on a different group")
+    reps = kappa._orbit_reps()
     out: dict[Element, Fraction] = {}
     for e, c in a.coeffs.items():
-        rep = min(kappa.orbit(e))
+        rep = reps[e]
         out[rep] = out.get(rep, Fraction(0)) + c
     return OrbitClass(a.group, kappa, out)
 

@@ -79,6 +79,19 @@ def rand_unit_ga(rng: random.Random, group: FiniteAbelianGroup) -> GroupAlgebraE
     return GroupAlgebraElem.of(group, rand_element(rng, group), c)
 
 
+def dict_ga_mul(a: GroupAlgebraElem, b: GroupAlgebraElem) -> dict:
+    """a * b in Q[H] as {element: nonzero Fraction}: the schoolbook double
+    loop over the two coefficient dicts, exponents added mod each divisor.
+    The oracle for the packed product."""
+    divisors = a.group.divisors
+    out: dict = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = tuple((x + y) % d for x, y, d in zip(e1, e2, divisors))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
 def rand_word(rng: random.Random, rank: int, max_len: int = 8) -> Word:
     letters = [(rng.randint(1, rank), rng.choice((1, -1)))
                for _ in range(rng.randint(0, max_len))]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -16,9 +17,10 @@ from k1alex import (
     gr_is_unit,
     orbit_project,
 )
+from k1alex import grouprings
 from k1alex.grouprings import character_orbits, cyclotomic
 
-from helpers import echelon, rand_ga, unit_by_rank, z4sq_order3, z5_negation
+from helpers import dict_ga_mul, echelon, rand_ga, unit_by_rank, z4sq_order3, z5_negation
 
 
 def ga(group, mapping):
@@ -52,6 +54,91 @@ def test_gr_mul_examples():
     assert (one + x) * (one - x) == one - x * x
     a = rand_ga(random.Random(0), H)
     assert a * one == a
+
+
+def _rand_dense(rng, group, terms, big=False):
+    """``terms`` distinct elements with nonzero coefficients: negative and
+    non-integer ones, and numerators of 2^70 and more when ``big``."""
+    coeffs = {}
+    for e in rng.sample(list(group.elements()), terms):
+        num = rng.randint(2 ** 70, 2 ** 90) if big else rng.randint(1, 9)
+        coeffs[e] = Fraction(rng.choice((-1, 1)) * num, rng.choice((1, 1, 2, 3, 10)))
+    return ga(group, coeffs)
+
+
+def _count_packed(monkeypatch) -> list:
+    """Record each product that ``__mul__`` sends down the packed path."""
+    calls = []
+    real = grouprings._packed_product
+    monkeypatch.setattr(grouprings, "_packed_product",
+                        lambda a, b: calls.append(1) or real(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("divisors", [(), (2,), (7,), (2, 4), (3, 21), (11, 11)])
+def test_packed_product_matches_dict_oracle(divisors, monkeypatch):
+    real = grouprings._packed_product
+    packed = _count_packed(monkeypatch)
+    rng = random.Random(sum(divisors) + 1)
+    H = FiniteAbelianGroup(divisors)
+    for i in range(40):
+        a = _rand_dense(rng, H, rng.randint(1, H.order), big=i % 3 == 0)
+        b = _rand_dense(rng, H, rng.randint(1, H.order), big=i % 4 == 1)
+        expected = dict_ga_mul(a, b)
+        assert (a * b).coeffs == expected
+        # the packed route on every pair, whichever side of the crossover
+        assert real(a, b).coeffs == expected
+    # fewer than 16 term pairs always stay on the schoolbook loop
+    if H.order ** 2 >= 16:
+        assert 0 < len(packed) < 40
+    else:
+        assert not packed
+
+
+def test_packed_product_dense_29_squared(monkeypatch):
+    packed = _count_packed(monkeypatch)
+    rng = random.Random(29)
+    H = FiniteAbelianGroup([29, 29])
+    a = _rand_dense(rng, H, H.order)
+    b = _rand_dense(rng, H, 30, big=True)
+    assert (a * b).coeffs == dict_ga_mul(a, b)
+    assert packed == [1]
+
+
+@pytest.mark.parametrize("divisors", [(29,), (3, 21), (11, 11)])
+def test_packed_product_cancellations(divisors, monkeypatch):
+    packed = _count_packed(monkeypatch)
+    H = FiniteAbelianGroup(divisors)
+    one = GroupAlgebraElem.one(H)
+    x = ga(H, {H.generator_basis()[-1]: 1})
+    norm = ga(H, {e: 1 for e in H.elements()})
+    # (1 - x) kills the sum over all of H
+    assert ((one - x) * norm).is_zero()
+    assert dict_ga_mul(one - x, norm) == {}
+    # s * prod (1 + x_i) * sum (-1)^(h_1 + ... + h_r) h / 3 = 2^r / 3 * s when
+    # every d_i is odd, since (1 + x) sum (-1)^i x^i = 1 + x^d = 2
+    s = tuple(5 % d for d in divisors)
+    lift = ga(H, {tuple(a + b for a, b in zip(s, bits)): 1
+                  for bits in product((0, 1), repeat=H.rank)})
+    alt = ga(H, {h: Fraction((-1) ** sum(h), 3) for h in H.elements()})
+    single = {s: Fraction(2 ** H.rank, 3)}
+    assert (lift * alt).coeffs == single
+    assert dict_ga_mul(lift, alt) == single
+    assert len(packed) == 2
+
+
+def test_packed_product_enters_mul_once(monkeypatch):
+    rng = random.Random(3)
+    H = FiniteAbelianGroup([11, 11])
+    a, b = _rand_dense(rng, H, 121), _rand_dense(rng, H, 121)
+    packed = _count_packed(monkeypatch)
+    mul_calls = []
+    real_mul = GroupAlgebraElem.__mul__
+    monkeypatch.setattr(GroupAlgebraElem, "__mul__",
+                        lambda x, y: mul_calls.append(1) or real_mul(x, y))
+    result = a * b
+    assert len(mul_calls) == 1 and len(packed) == 1
+    assert result.coeffs == dict_ga_mul(a, b)
 
 
 def test_gr_mul_group_mismatch():
@@ -311,6 +398,25 @@ def test_orbit_project_kills_twist_differences():
             a = rand_ga(rng, H, denominators=True)
             diff = a - a.apply_aut(kappa)
             assert orbit_project(diff, kappa).is_zero()
+
+
+def test_orbit_reps_are_orbit_minima():
+    rng = random.Random(11)
+    H = FiniteAbelianGroup([11, 11])
+    cases = [z5_negation(), z4sq_order3(), (H, GroupAut(H, [[0, 1], [-1, 0]])),
+             (H, GroupAut.identity(H))]
+    for H, kappa in cases:
+        reps = kappa._orbit_reps()
+        assert reps == {e: min(kappa.orbit(e)) for e in H.elements()}
+        for _ in range(20):
+            a = rand_ga(rng, H, max_terms=8, denominators=True)
+            walked = {}
+            for e, c in a.coeffs.items():
+                rep = min(kappa.orbit(e))
+                walked[rep] = walked.get(rep, Fraction(0)) + c
+            oc = orbit_project(a, kappa)
+            assert oc.coeffs == {e: c for e, c in walked.items() if c}
+            assert str(oc) == str(OrbitClass(H, kappa, walked))
 
 
 def test_orbit_class_equality_and_sum():
