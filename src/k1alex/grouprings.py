@@ -18,6 +18,10 @@ Q[H] is a product of cyclotomic fields, Q[H] = prod Q(zeta_m), with one
 factor per Galois orbit of characters of H (Perlis-Walker): a character chi
 of order m sends a to chi(a) in Q[x]/Phi_m.  Every unit test and inverse in
 Q[H] goes through this one character transform (:func:`character_images`).
+It runs on integers: with den the lcm of a's denominators, chi(den * a)
+lies in Z[x]/Phi_m, :func:`gr_inverse` inverts it there up to an integer
+(:func:`~k1alex.snf.inverse_mod`), sums the Fourier back-transform as ints
+and divides once per coefficient.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, zip_longest
+from itertools import product
 from math import gcd, lcm, prod
 from typing import Iterator, Mapping, Sequence
 
-from .snf import smith_normal_form
+from .snf import inverse_mod, pdivmod, smith_normal_form
 
 Element = tuple[int, ...]
 
@@ -364,6 +368,13 @@ class GroupAlgebraElem:
     __repr__ = __str__
 
 
+def _numerators(a: GroupAlgebraElem) -> tuple[int, list[tuple[Element, int]]]:
+    """(den, terms of den * a): den is the lcm of a's denominators, so every
+    coefficient of den * a is an integer."""
+    den = lcm(*(c.denominator for c in a.coeffs.values()))
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in a.coeffs.items()]
+
+
 @lru_cache(maxsize=None)
 def _kronecker_layout(divisors: tuple[int, ...]):
     """Slot of each element, and element index of each slot, for packing
@@ -393,8 +404,7 @@ def _packed_product(a: GroupAlgebraElem, b: GroupAlgebraElem) -> GroupAlgebraEle
     slot_of, fold, elements = _kronecker_layout(a.group.divisors)
     packed, dens, sizes = [], [], []
     for x in (a, b):
-        den = lcm(*(c.denominator for c in x.coeffs.values()))
-        nums = [(e, c.numerator * (den // c.denominator)) for e, c in x.coeffs.items()]
+        den, nums = _numerators(x)
         packed.append(nums)
         dens.append(den)
         sizes.append(max(abs(n) for _, n in nums))
@@ -423,12 +433,13 @@ def _packed_product(a: GroupAlgebraElem, b: GroupAlgebraElem) -> GroupAlgebraEle
 
 @lru_cache(maxsize=None)
 def cyclotomic(m: int) -> tuple[int, ...]:
-    """Phi_m, constant term first: x^m - 1 over Phi_d for each proper d | m."""
+    """Phi_m, constant term first: x^m - 1 over Phi_d for each proper d | m,
+    each a division by a monic integer polynomial."""
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly = _divmod_poly(poly, cyclotomic(d))[0]
-    return tuple(int(c) for c in poly)
+            poly = pdivmod(poly, cyclotomic(d))[1]
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -437,37 +448,6 @@ def _traces(m: int) -> tuple[int, ...]:
     return tuple((m if s == 0 else 0)
                  - sum(_traces(d)[s % d] for d in range(1, m) if m % d == 0)
                  for s in range(m))
-
-
-def _divmod_poly(a: Sequence, b: Sequence) -> tuple[list, list]:
-    """Quotient and remainder over Q, coefficients constant term first; the
-    remainder carries no trailing zeros."""
-    r, n = list(a), len(b) - 1
-    q = [Fraction(0)] * max(len(r) - n, 1)
-    for k in range(len(r) - 1 - n, -1, -1):
-        c = q[k] = Fraction(r[k + n]) / b[n]
-        if c:
-            for i in range(n + 1):
-                r[k + i] -= c * b[i]
-    r = r[:n]
-    while r and not r[-1]:
-        r.pop()
-    return q, r
-
-
-def _field_inverse(c: list[Fraction], f: Sequence[int]) -> list[Fraction]:
-    """c^-1 in Q[x]/f, for f irreducible and c nonzero of lower degree, by
-    the extended Euclidean algorithm: s * c = r mod f for every remainder r,
-    and the last one is a nonzero constant."""
-    r0, r1, s0, s1 = f, c, [Fraction(0)], [Fraction(1)]
-    while len(r1) > 1:
-        q, r = _divmod_poly(r0, r1)
-        qs = [Fraction(0)] * (len(q) + len(s1) - 1)
-        for i, x in enumerate(q):
-            for j, y in enumerate(s1):
-                qs[i + j] += x * y
-        r0, r1, s0, s1 = r1, r, s1, [x - y for x, y in zip_longest(s0, qs, fillvalue=0)]
-    return [x / r1[0] for x in s1]
 
 
 @lru_cache(maxsize=None)
@@ -488,16 +468,27 @@ def character_orbits(group: FiniteAbelianGroup) -> tuple[tuple[int, Element], ..
     return tuple(out)
 
 
-def character_images(a: GroupAlgebraElem) -> list[list[Fraction]]:
-    """chi(a) in Q[x]/Phi_m for each character of :func:`character_orbits`,
-    reduced below degree phi(m); the empty list is zero."""
-    out = []
+def character_images(a: GroupAlgebraElem) -> tuple[int, list[list[int]]]:
+    """(den, images): den the lcm of a's denominators, and chi(den * a) in
+    Z[x]/Phi_m for each character of :func:`character_orbits`, reduced below
+    degree phi(m); the empty list is zero.  Phi_m is monic over Z, so the
+    reduction divides by nothing."""
+    den, nums = _numerators(a)
+    images = []
     for m, u in character_orbits(a.group):
-        vec = [Fraction(0)] * m
-        for e, c in a.coeffs.items():
-            vec[sum(x * y for x, y in zip(u, e)) % m] += c
-        out.append(_divmod_poly(vec, cyclotomic(m))[1])
-    return out
+        vec = [0] * m
+        for e, n in nums:
+            vec[sum(x * y for x, y in zip(u, e)) % m] += n
+        images.append(pdivmod(vec, cyclotomic(m))[2])
+    return den, images
+
+
+def _character_index(divisors: Sequence[int], u: Element, m: int) -> list[int]:
+    """u . h mod m for every h, in ``elements()`` order."""
+    idx = [0]
+    for x, d in zip(u, divisors):
+        idx = [(i + x * k) % m for i in idx for k in range(d)]
+    return idx
 
 
 def gr_is_unit(a: GroupAlgebraElem) -> bool:
@@ -512,8 +503,12 @@ _INVERSE_CACHE: dict = {}
 def gr_inverse(a: GroupAlgebraElem) -> GroupAlgebraElem | None:
     """Exact inverse in Q[H], or None if ``a`` is not a unit.
 
-    chi(a) is inverted in each factor Q[x]/Phi_m and carried back by Fourier
-    inversion, b_h = (1/|H|) sum_orbits Tr(chi(a)^-1 * zeta_m^-(u . h)).
+    With a = A / den and A integral, each image chi(A) in Z[x]/Phi_m is
+    inverted up to an integer, s * chi(A) = r mod Phi_m
+    (:func:`~k1alex.snf.inverse_mod`), so chi(a)^-1 = den * s / r.  Fourier
+    inversion, b_h = (1/|H|) sum_orbits Tr(chi(a)^-1 * zeta_m^-(u . h)),
+    then sums the integer rows (L / r) Tr(s * zeta_m^-j), with L the lcm of
+    the r, and divides once per coefficient: b_h = den * sum / (L |H|).
     Results are memoized: elimination pivots and their leading coefficients
     recur heavily across a run.
     """
@@ -526,18 +521,22 @@ def gr_inverse(a: GroupAlgebraElem) -> GroupAlgebraElem | None:
     if key in _INVERSE_CACHE:
         return _INVERSE_CACHE[key]
     group = a.group
-    images = character_images(a)
+    den, images = character_images(a)
     result = None
     if all(images):
-        els = list(group.elements())
-        b = [Fraction(0)] * len(els)
-        for (m, u), image in zip(character_orbits(group), images):
-            c, tr = _field_inverse(image, cyclotomic(m)), _traces(m)
-            # Tr(c * zeta^-j) = sum_k c_k Tr(zeta^(k - j))
-            row = [sum(ck * tr[(k - j) % m] for k, ck in enumerate(c)) for j in range(m)]
-            for i, h in enumerate(els):
-                b[i] += row[sum(x * y for x, y in zip(u, h)) % m]
-        result = GroupAlgebraElem._reduced(group, {h: x / group.order for h, x in zip(els, b)})
+        orbits = character_orbits(group)
+        inverses = [inverse_mod(c, cyclotomic(m)) for (m, _), c in zip(orbits, images)]
+        big = lcm(*(r for _, r in inverses))
+        b = [0] * group.order
+        for (m, u), (s, r) in zip(orbits, inverses):
+            tr, scale = _traces(m), big // r
+            # Tr(s * zeta^-j) = sum_k s_k Tr(zeta^(k - j))
+            row = [scale * sum(sk * tr[(k - j) % m] for k, sk in enumerate(s) if sk)
+                   for j in range(m)]
+            b = [x + row[j] for x, j in zip(b, _character_index(group.divisors, u, m))]
+        n = big * group.order
+        result = GroupAlgebraElem._reduced(
+            group, {h: Fraction(x * den, n) for h, x in zip(group.elements(), b) if x})
     if len(_INVERSE_CACHE) < 4096:
         _INVERSE_CACHE[key] = result
     return result
@@ -553,10 +552,17 @@ class OrbitClass:
     __slots__ = ("group", "kappa", "coeffs")
 
     def __init__(self, group: FiniteAbelianGroup, kappa: GroupAut,
-                 coeffs: Mapping[Element, Fraction]):
+                 coeffs: Mapping[Element, Fraction | int]):
+        if kappa.group != group:
+            raise GroupError("automorphism acts on a different group")
         self.group = group
         self.kappa = kappa
-        self.coeffs = {e: Fraction(c) for e, c in coeffs.items() if c}
+        reps = kappa._orbit_reps()
+        out: dict[Element, Fraction | int] = {}
+        for e, c in coeffs.items():
+            rep = reps[group.normalize(e)]
+            out[rep] = out[rep] + c if rep in out else c
+        self.coeffs = {e: Fraction(c) for e, c in out.items() if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -569,6 +575,8 @@ class OrbitClass:
                 and self.coeffs == other.coeffs)
 
     def __add__(self, other: "OrbitClass") -> "OrbitClass":
+        if self.kappa != other.kappa:
+            raise GroupError("operands live in different coinvariant quotients")
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
@@ -585,14 +593,7 @@ class OrbitClass:
 
 def orbit_project(a: GroupAlgebraElem, kappa: GroupAut) -> OrbitClass:
     """Project onto the kappa-coinvariants A / {a - kappa(a)}."""
-    if kappa.group != a.group:
-        raise GroupError("automorphism acts on a different group")
-    reps = kappa._orbit_reps()
-    out: dict[Element, Fraction] = {}
-    for e, c in a.coeffs.items():
-        rep = reps[e]
-        out[rep] = out.get(rep, Fraction(0)) + c
-    return OrbitClass(a.group, kappa, out)
+    return OrbitClass(a.group, kappa, a.coeffs)
 
 
 @dataclass(frozen=True)

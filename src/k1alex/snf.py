@@ -1,14 +1,19 @@
-"""Integer matrices and their Smith normal form U * A * V = D.
+"""Exact integer algebra: the Smith normal form U * A * V = D, and division
+with remainder and the extended Euclidean algorithm in Z[x].
 
-The one exact elimination over Z: it reads the finite group H off the cover
-homology (:mod:`k1alex.cover`) and decides that an endomorphism of H is onto
-(:class:`~k1alex.grouprings.GroupAut`).  Every factorization is re-verified
-exactly before it is returned.
+The Smith normal form is the one exact elimination over Z: it reads the
+finite group H off the cover homology (:mod:`k1alex.cover`) and decides that
+an endomorphism of H is onto (:class:`~k1alex.grouprings.GroupAut`).  Every
+factorization is re-verified exactly before it is returned.  The polynomial
+routines reduce character values modulo cyclotomic polynomials and invert
+them (:func:`~k1alex.grouprings.gr_inverse`) without leaving the integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
+from math import gcd
 from typing import Sequence
 
 
@@ -179,3 +184,56 @@ def _verify_snf(A: IntMatrix, r: SNFResult) -> None:
               for row in r.U_inv.rows]
     if (A @ r.V).rows != scaled:
         raise SNFError("U A V != D")
+
+
+def pdivmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """Pseudo-division in Z[x], coefficients constant term first.
+
+    Returns (k, q, r) with k * a = q * b + r, k > 0 and deg r < deg b; r
+    carries no trailing zeros, and b must carry none.  Each step scales the
+    partial remainder only by what its leading coefficient needs to become a
+    multiple of lc(b), so k divides a power of lc(b), and k = 1 when b is
+    monic: then q and r are the quotient and remainder over Q.
+    """
+    r, n, lead = list(a), len(b) - 1, b[-1]
+    k, q = 1, [0] * max(len(r) - n, 1)
+    for i in range(len(r) - 1 - n, -1, -1):
+        c = r[i + n]
+        if not c:
+            continue
+        s = abs(lead) // gcd(c, lead)
+        if s != 1:
+            k *= s
+            q = [x * s for x in q]
+            r = [x * s for x in r]
+        t = q[i] = s * c // lead
+        r[i:i + n + 1] = [x - t * y for x, y in zip(r[i:i + n + 1], b)]
+    r = r[:n]
+    while r and not r[-1]:
+        r.pop()
+    return k, q, r
+
+
+def inverse_mod(c: Sequence[int], f: Sequence[int]) -> tuple[list[int], int]:
+    """(s, r) with s * c = r modulo f in Z[x] and r a nonzero integer, so
+    that c^-1 = s / r in Q[x]/f; f irreducible over Q, c nonzero of lower
+    degree, both without trailing zeros.
+
+    A fraction-free extended Euclidean algorithm: every remainder r_i keeps
+    a cofactor s_i with s_i * c = r_i mod f.  A step pseudo-divides,
+    k r_(i-1) = q r_i + r_(i+1) (:func:`pdivmod`), sets s_(i+1) =
+    k s_(i-1) - q s_i, and divides the pair by its joint content.  f is
+    irreducible, so the last nonzero remainder is a constant.
+    """
+    r0, r1, s0, s1 = list(f), list(c), [0], [1]
+    while len(r1) > 1:
+        k, q, r = pdivmod(r0, r1)
+        qs = [0] * (len(q) + len(s1) - 1)
+        for i, x in enumerate(q):
+            if x:
+                for j, y in enumerate(s1):
+                    qs[i + j] += x * y
+        s = [k * x - y for x, y in zip_longest(s0, qs, fillvalue=0)]
+        g = gcd(*r, *s)
+        r0, r1, s0, s1 = r1, [x // g for x in r], s1, [x // g for x in s]
+    return s1, r1[0]

@@ -36,6 +36,7 @@ from .grouprings import (
     GroupError,
     MetaRep,
     character_images,
+    character_orbits,
 )
 from .k1core import UPSILON_WINDOW, NovikovMatrix, build_fox_matrix
 from .novikov import NovikovSeries, format_terms
@@ -337,10 +338,16 @@ def is_unit_laurent(p: LaurentPolyGA) -> bool:
     orbit of characters, so Q[H]((t)) is the product of the Laurent series
     fields Q(zeta_m)((t)).  p is a unit iff every component is nonzero, iff
     on every orbit some coefficient of p has a nonzero character value, iff
-    the coefficients generate the unit ideal of Q[H].
+    the coefficients generate the unit ideal of Q[H].  The coefficients are
+    read from the lowest degree up, until every orbit has a nonzero value.
     """
-    images = [character_images(c) for c in p.terms.values()]
-    return bool(images) and all(any(values) for values in zip(*images))
+    pending = range(len(character_orbits(p.group)))
+    for d in sorted(p.terms):
+        images = character_images(p.terms[d])[1]
+        pending = [i for i in pending if not images[i]]
+        if not pending:
+            return True
+    return False
 
 
 def metafinite_polynomial(p: MeridianPresentation, rep: MetaRep) -> LaurentPolyGA:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 from k1alex import (
     FiniteAbelianGroup,
@@ -90,6 +91,38 @@ def dict_ga_mul(a: GroupAlgebraElem, b: GroupAlgebraElem) -> dict:
             e = tuple((x + y) % d for x, y, d in zip(e1, e2, divisors))
             out[e] = out.get(e, Fraction(0)) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def fraction_divmod_poly(a, b) -> tuple[list, list]:
+    """Quotient and remainder over Q, coefficients constant term first; the
+    remainder carries no trailing zeros.  The oracle for ``snf.pdivmod``."""
+    r, n = list(a), len(b) - 1
+    q = [Fraction(0)] * max(len(r) - n, 1)
+    for k in range(len(r) - 1 - n, -1, -1):
+        c = q[k] = Fraction(r[k + n]) / b[n]
+        if c:
+            for i in range(n + 1):
+                r[k + i] -= c * b[i]
+    r = r[:n]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def fraction_field_inverse(c, f) -> list[Fraction]:
+    """c^-1 in Q[x]/f, for f irreducible and c nonzero of lower degree, by
+    the extended Euclidean algorithm over Q: s * c = r mod f for every
+    remainder r, and the last one is a nonzero constant.  The oracle for
+    ``snf.inverse_mod``."""
+    r0, r1, s0, s1 = f, c, [Fraction(0)], [Fraction(1)]
+    while len(r1) > 1:
+        q, r = fraction_divmod_poly(r0, r1)
+        qs = [Fraction(0)] * (len(q) + len(s1) - 1)
+        for i, x in enumerate(q):
+            for j, y in enumerate(s1):
+                qs[i + j] += x * y
+        r0, r1, s0, s1 = r1, r, s1, [x - y for x, y in zip_longest(s0, qs, fillvalue=0)]
+    return [x / r1[0] for x in s1]
 
 
 def rand_word(rng: random.Random, rank: int, max_len: int = 8) -> Word:

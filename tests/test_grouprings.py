@@ -19,8 +19,18 @@ from k1alex import (
 )
 from k1alex import grouprings
 from k1alex.grouprings import character_orbits, cyclotomic
+from k1alex.snf import inverse_mod, pdivmod
 
-from helpers import dict_ga_mul, echelon, rand_ga, unit_by_rank, z4sq_order3, z5_negation
+from helpers import (
+    dict_ga_mul,
+    echelon,
+    fraction_divmod_poly,
+    fraction_field_inverse,
+    rand_ga,
+    unit_by_rank,
+    z4sq_order3,
+    z5_negation,
+)
 
 
 def ga(group, mapping):
@@ -355,6 +365,91 @@ def test_cyclotomic_products():
         assert prod_poly == [-1] + [0] * (m - 1) + [1]
 
 
+def _rand_int_poly(rng, degree, bound=2 ** 70):
+    """Seeded integer coefficients, small or up to ``bound``, with a nonzero
+    leading one."""
+    coeffs = [rng.choice((rng.randint(-5, 5), rng.randint(-bound, bound)))
+              for _ in range(degree + 1)]
+    coeffs[-1] = coeffs[-1] or 1
+    return coeffs
+
+
+def test_pdivmod_matches_fraction_oracle():
+    """k a = q b + r over Z, and q / k, r / k are the quotient and remainder
+    over Q; a monic divisor needs no scaling."""
+    rng = random.Random(16)
+    for _ in range(200):
+        b = _rand_int_poly(rng, rng.randint(0, 6))
+        a = _rand_int_poly(rng, rng.randint(0, 12))
+        k, q, r = pdivmod(a, b)
+        oq, orem = fraction_divmod_poly(a, b)
+        assert k > 0
+        assert [Fraction(x, k) for x in q] == oq
+        assert [Fraction(x, k) for x in r] == orem
+        k, q, r = pdivmod(a, b[:-1] + [1])
+        assert k == 1 and (q, r) == fraction_divmod_poly(a, b[:-1] + [1])
+
+
+def _trim(poly):
+    poly = list(poly)
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def test_inverse_mod_matches_fraction_oracle():
+    """For every m <= 60 and seeded c, some with coefficients above 2^64:
+    s * c = r mod Phi_m with r a nonzero int, and s / r is the inverse the
+    Euclidean algorithm over Q gives.  The oracle's rationals grow fast with
+    the degree, so big coefficients fill every degree only up to phi(m) = 12."""
+    rng = random.Random(17)
+    for m in range(1, 61):
+        f = cyclotomic(m)
+        top = len(f) - 2
+        cases = [_rand_int_poly(rng, rng.randint(0, top), 5),
+                 _rand_int_poly(rng, min(2, top))]
+        if top < 12:
+            cases.append(_rand_int_poly(rng, top))
+        for c in cases:
+            s, r = inverse_mod(c, f)
+            assert isinstance(r, int) and r
+            sc = [0] * (len(s) + len(c) - 1)
+            for i, x in enumerate(s):
+                for j, y in enumerate(c):
+                    sc[i + j] += x * y
+            assert fraction_divmod_poly(sc, f)[1] == [r]
+            assert _trim(Fraction(x, r) for x in s) == _trim(fraction_field_inverse(c, f))
+
+
+@pytest.mark.parametrize("divisors", [(11, 11), (5, 35), (29,)])
+def test_gr_inverse_large_orbits(divisors, monkeypatch):
+    """Orbits up to m = 35 and mixed denominators: a * a^-1 = 1, a zero
+    divisor gives None with gr_is_unit agreeing, and that None is cached."""
+    rng = random.Random(sum(divisors))
+    H = FiniteAbelianGroup(divisors)
+    one = GroupAlgebraElem.one(H)
+    for _ in range(4):
+        a = GroupAlgebraElem(H, {
+            tuple(rng.randrange(d) for d in divisors):
+                Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 12, 1001)))
+            for _ in range(rng.randint(2, 14))})
+        inv = gr_inverse(a)
+        assert inv is not None and gr_is_unit(a)
+        assert a * inv == one
+        zero_divisor = a * (one - GroupAlgebraElem.of(H, rng.choice(H.generator_basis())))
+        monkeypatch.setattr(grouprings, "_INVERSE_CACHE", {})
+        assert gr_inverse(zero_divisor) is None
+        assert list(grouprings._INVERSE_CACHE.values()) == [None]
+
+        def uncached(_):
+            raise AssertionError("the cached None was not used")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(grouprings, "character_images", uncached)
+            assert gr_inverse(zero_divisor) is None
+            assert not gr_is_unit(zero_divisor)
+
+
 def test_gr_inverse_agrees_with_rank_oracle():
     """Seeded units and zero divisors over seven groups: gr_inverse is None
     exactly when the regular representation is singular, else a * b = 1."""
@@ -425,3 +520,24 @@ def test_orbit_class_equality_and_sum():
     b = orbit_project(ga(H, {(4,): 1}), kappa)
     assert a == b
     assert (a + b).coeffs == {(1,): Fraction(2)}
+
+
+def test_orbit_class_keys_are_canonical():
+    """Keys fold onto the least member of their orbit, whatever the input."""
+    H, kappa = z5_negation()
+    direct = OrbitClass(H, kappa, {(4,): 3})
+    assert direct.coeffs == {(1,): Fraction(3)}
+    assert direct == orbit_project(ga(H, {(4,): 3}), kappa)
+    assert OrbitClass(H, kappa, {(2,): 1, (3,): -1, (9,): 2}).coeffs == {(1,): Fraction(2)}
+    with pytest.raises(GroupError):
+        OrbitClass(FiniteAbelianGroup([7]), kappa, {(1,): 1})
+
+
+def test_orbit_class_sum_refuses_other_quotients():
+    H, kappa = z5_negation()
+    H7 = FiniteAbelianGroup([7])
+    a = OrbitClass(H, kappa, {(1,): 1})
+    with pytest.raises(GroupError):
+        a + OrbitClass(H7, GroupAut(H7, [[-1]]), {(6,): 2})
+    with pytest.raises(GroupError):
+        a + OrbitClass(H, GroupAut.identity(H), {(1,): 1})

@@ -26,6 +26,7 @@ from k1alex import (
     upsilon_elem,
     upsilon_matrix,
 )
+from k1alex import upsilon
 
 from helpers import (
     STABILIZED_4_1,
@@ -316,6 +317,31 @@ def test_is_unit_laurent_cases():
     mixed = LaurentPolyGA(H, {0: norm, 1: GroupAlgebraElem.one(H)})
     assert is_unit_laurent(mixed)  # non-unit coefficients, unit series
     assert not is_unit_laurent(LaurentPolyGA.zero(H))
+
+
+def test_is_unit_laurent_reads_only_what_it_needs(monkeypatch):
+    """Coefficients are read from the lowest degree up, and no further than
+    the first degree by which every orbit has had a nonzero value."""
+    H, _ = z5_negation()
+    one = GroupAlgebraElem.one(H)
+    norm = GroupAlgebraElem(H, {e: 1 for e in H.elements()})  # zero off the trivial orbit
+    gap = one - norm.scale(Fraction(1, 5))  # zero on the trivial orbit only
+    read = []
+    images = upsilon.character_images
+
+    def reading(c):
+        read.append(c)
+        return images(c)
+
+    monkeypatch.setattr(upsilon, "character_images", reading)
+    assert is_unit_laurent(LaurentPolyGA(H, {5: norm, -2: one, 0: norm}))
+    assert read == [one]
+    read.clear()
+    assert is_unit_laurent(LaurentPolyGA(H, {4: one, 1: norm, 0: gap}))
+    assert read == [gap, norm]
+    read.clear()
+    assert not is_unit_laurent(LaurentPolyGA(H, {3: norm, 0: norm}))
+    assert read == [norm, norm]
 
 
 def _idempotent(H, x):
