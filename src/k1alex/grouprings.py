@@ -3,25 +3,26 @@
 A :class:`FiniteAbelianGroup` is a product Z/d_1 x ... x Z/d_r with a
 divisibility chain d_1 | d_2 | ... | d_r; elements are exponent tuples.  A
 :class:`GroupAut` is an integer matrix acting on exponent columns modulo the
-divisors.  :class:`GroupAlgebraElem` is a finitely supported map from group
-elements to exact rationals, i.e. an element of Q[H].
+divisors.  A :class:`GroupAlgebraElem` is an element of Q[H], stored as
+integer numerators on group elements over one positive denominator, in
+lowest terms; all of its arithmetic runs on these integers, and ``coeffs``
+is a ``Fraction`` view for printing and projections.
 
 A product in Q[H] takes one of two paths.  Small products run the schoolbook
-double loop over the two coefficient dicts.  A product with at least 16 term
+double loop over the two numerator dicts.  A product with at least 16 term
 pairs, and at least a quarter as many pairs as there are Kronecker slots
-prod (2 d_i - 1), clears each operand's denominators, packs its integer
-numerators into one Python int (Kronecker substitution: one mixed-radix slot
-per exponent vector of the uncarried product), multiplies the two ints once,
-and folds the signed slots back onto H modulo each d_i.
+prod (2 d_i - 1), packs each operand's numerators into one Python int
+(Kronecker substitution: one mixed-radix slot per exponent vector of the
+uncarried product), multiplies the two ints once, and folds the signed
+slots back onto H modulo each d_i.  Either way the denominators multiply.
 
 Q[H] is a product of cyclotomic fields, Q[H] = prod Q(zeta_m), with one
 factor per Galois orbit of characters of H (Perlis-Walker): a character chi
 of order m sends a to chi(a) in Q[x]/Phi_m.  Every unit test and inverse in
-Q[H] goes through this one character transform (:func:`character_images`).
-It runs on integers: with den the lcm of a's denominators, chi(den * a)
-lies in Z[x]/Phi_m, :func:`gr_inverse` inverts it there up to an integer
-(:func:`~k1alex.snf.inverse_mod`), sums the Fourier back-transform as ints
-and divides once per coefficient.
+Q[H] goes through this one character transform (:func:`character_images`)
+of the numerators, in Z[x]/Phi_m: :func:`gr_inverse` inverts each image
+there up to an integer (:func:`~k1alex.snf.inverse_mod`) and sums the
+Fourier back-transform as ints over one new denominator.
 """
 
 from __future__ import annotations
@@ -244,29 +245,42 @@ class GroupAut:
 
 
 class GroupAlgebraElem:
-    """Exact-rational linear combination of elements of a finite abelian group."""
+    """Element of Q[H]: integer numerators ``nums`` over one ``den`` > 0, in
+    lowest terms (no zero numerator, gcd(den, *nums) == 1), so equal
+    elements have equal fields."""
 
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("group", "den", "nums")
 
     def __init__(self, group: FiniteAbelianGroup,
                  coeffs: Mapping[Element, Fraction | int] | None = None):
-        self.group = group
-        clean: dict[Element, Fraction] = {}
+        summed: dict[Element, Fraction] = {}
         for e, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[group.normalize(e)] = c
-        self.coeffs = clean
+            e = group.normalize(e)
+            summed[e] = summed.get(e, 0) + Fraction(c)
+        # the lcm of reduced denominators is coprime to the numerators over it
+        den = lcm(*(c.denominator for c in summed.values() if c))
+        self.group, self.den = group, den
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in summed.items() if c}
 
     @classmethod
-    def _reduced(cls, group: FiniteAbelianGroup,
-                 coeffs: Mapping[Element, Fraction]) -> "GroupAlgebraElem":
-        """Internal constructor for normalized keys and Fraction values:
-        only drops the zero coefficients."""
+    def _make(cls, group: FiniteAbelianGroup, den: int,
+              nums: Mapping[Element, int]) -> "GroupAlgebraElem":
+        """Internal constructor for normalized keys and den > 0: drops the
+        zero numerators and divides out the gcd."""
+        nums = {e: n for e, n in nums.items() if n}
+        if den > 1:
+            g = gcd(den, *nums.values())
+            if g > 1:
+                den //= g
+                nums = {e: n // g for e, n in nums.items()}
         out = cls.__new__(cls)
-        out.group = group
-        out.coeffs = {e: c for e, c in coeffs.items() if c}
+        out.group, out.den, out.nums = group, den, nums
         return out
+
+    @property
+    def coeffs(self) -> dict[Element, Fraction]:
+        """The coefficients as ``Fraction``s, a fresh dict on every read."""
+        return {e: Fraction(n, self.den) for e, n in self.nums.items()}
 
     @classmethod
     def zero(cls, group: FiniteAbelianGroup) -> "GroupAlgebraElem":
@@ -274,12 +288,12 @@ class GroupAlgebraElem:
 
     @classmethod
     def one(cls, group: FiniteAbelianGroup) -> "GroupAlgebraElem":
-        return cls(group, {group.identity(): Fraction(1)})
+        return cls(group, {group.identity(): 1})
 
     @classmethod
     def of(cls, group: FiniteAbelianGroup, e: Element,
            coeff: Fraction | int = 1) -> "GroupAlgebraElem":
-        return cls(group, {e: Fraction(coeff)})
+        return cls(group, {e: coeff})
 
     def _check(self, other: "GroupAlgebraElem") -> None:
         if self.group != other.group:
@@ -287,73 +301,74 @@ class GroupAlgebraElem:
 
     def __add__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
         self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return GroupAlgebraElem._reduced(self.group, out)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        out = {e: n * s for e, n in self.nums.items()}
+        for e, n in other.nums.items():
+            out[e] = out.get(e, 0) + n * t
+        return GroupAlgebraElem._make(self.group, den, out)
 
     def __neg__(self) -> "GroupAlgebraElem":
-        return GroupAlgebraElem._reduced(self.group, {e: -c for e, c in self.coeffs.items()})
+        return GroupAlgebraElem._make(self.group, self.den, {e: -n for e, n in self.nums.items()})
 
     def __sub__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
+    def __mul__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
         self._check(other)
         g = self.group
-        pairs = len(self.coeffs) * len(other.coeffs)
+        pairs = len(self.nums) * len(other.nums)
         if pairs >= 16 and 4 * pairs >= prod(2 * d - 1 for d in g.divisors):
             return _packed_product(self, other)
-        out: dict[Element, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        out: dict[Element, int] = {}
+        for e1, n1 in self.nums.items():
+            for e2, n2 in other.nums.items():
                 e = g.add(e1, e2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return GroupAlgebraElem._reduced(g, out)
+                out[e] = out.get(e, 0) + n1 * n2
+        return GroupAlgebraElem._make(g, self.den * other.den, out)
 
     __rmul__ = __mul__
 
     def scale(self, c: Fraction | int) -> "GroupAlgebraElem":
         c = Fraction(c)
-        return GroupAlgebraElem._reduced(self.group, {e: v * c for e, v in self.coeffs.items()})
+        return GroupAlgebraElem._make(self.group, self.den * c.denominator,
+                                      {e: n * c.numerator for e, n in self.nums.items()})
 
     def apply_aut(self, kappa: GroupAut, power: int = 1) -> "GroupAlgebraElem":
         if kappa.group != self.group:
             raise GroupError("automorphism acts on a different group")
         power %= kappa.order
-        if power == 0 or not self.coeffs:
+        if power == 0 or not self.nums:
             return self
         table = kappa._table(power)
-        return GroupAlgebraElem._reduced(self.group, {table[e]: c for e, c in self.coeffs.items()})
+        return GroupAlgebraElem._make(self.group, self.den,
+                                      {table[e]: n for e, n in self.nums.items()})
 
     def augmentation(self) -> Fraction:
         """Coefficient sum: the pushforward along H -> 1."""
-        return sum(self.coeffs.values(), Fraction(0))
+        return Fraction(sum(self.nums.values()), self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def support(self) -> set[Element]:
-        return set(self.coeffs)
+        return set(self.nums)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GroupAlgebraElem)
-                and self.group == other.group and self.coeffs == other.coeffs)
+        return (isinstance(other, GroupAlgebraElem) and self.group == other.group
+                and self.den == other.den and self.nums == other.nums)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __hash__(self) -> int:
-        return hash((self.group, frozenset(self.coeffs.items())))
+        return hash((self.group, self.den, frozenset(self.nums.items())))
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for e, c in sorted(self.coeffs.items()):
             name = self.group.element_str(e)
             if name == "1":
                 parts.append(str(c))
@@ -366,13 +381,6 @@ class GroupAlgebraElem:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
-
-
-def _numerators(a: GroupAlgebraElem) -> tuple[int, list[tuple[Element, int]]]:
-    """(den, terms of den * a): den is the lcm of a's denominators, so every
-    coefficient of den * a is an integer."""
-    den = lcm(*(c.denominator for c in a.coeffs.values()))
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in a.coeffs.items()]
 
 
 @lru_cache(maxsize=None)
@@ -395,28 +403,23 @@ def _kronecker_layout(divisors: tuple[int, ...]):
 def _packed_product(a: GroupAlgebraElem, b: GroupAlgebraElem) -> GroupAlgebraElem:
     """a * b by Kronecker substitution, exactly: one product of two ints.
 
-    Each operand becomes den * a with den the lcm of its denominators, an
-    integer vector packed at its elements' slots.  A slot of the product
-    sums at most min(|a|, |b|) products of numerators, so a slot of
+    Each operand's integer numerators are packed at its elements' slots,
+    and the product's numerators are over a.den * b.den.  A slot of the
+    product sums at most min(|a|, |b|) products of numerators, so a slot of
     ``width`` bytes holds it signed.  Adding 2^(8 width - 1) to every slot
     makes all slots nonnegative, so they read off as bytes without borrows.
     """
     slot_of, fold, elements = _kronecker_layout(a.group.divisors)
-    packed, dens, sizes = [], [], []
-    for x in (a, b):
-        den, nums = _numerators(x)
-        packed.append(nums)
-        dens.append(den)
-        sizes.append(max(abs(n) for _, n in nums))
-    bound = sizes[0] * sizes[1] * min(len(a.coeffs), len(b.coeffs))
+    bound = (max(map(abs, a.nums.values())) * max(map(abs, b.nums.values()))
+             * min(len(a.nums), len(b.nums)))
     width = bound.bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
     offset_slot = bytes(width - 1) + b"\x80"
     offset = int.from_bytes(offset_slot * len(fold), "little")
     ints = []
-    for nums in packed:
+    for x in (a, b):
         buf = bytearray(offset_slot * len(fold))
-        for e, n in nums:
+        for e, n in x.nums.items():
             k = slot_of[e] * width
             buf[k:k + width] = (n + half).to_bytes(width, "little")
         ints.append(int.from_bytes(buf, "little") - offset)
@@ -426,9 +429,8 @@ def _packed_product(a: GroupAlgebraElem, b: GroupAlgebraElem) -> GroupAlgebraEle
         n = int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
         if n:
             sums[i] += n
-    den = dens[0] * dens[1]
-    return GroupAlgebraElem._reduced(
-        a.group, {elements[i]: Fraction(n, den) for i, n in enumerate(sums) if n})
+    return GroupAlgebraElem._make(a.group, a.den * b.den,
+                                  {elements[i]: n for i, n in enumerate(sums)})
 
 
 @lru_cache(maxsize=None)
@@ -468,19 +470,18 @@ def character_orbits(group: FiniteAbelianGroup) -> tuple[tuple[int, Element], ..
     return tuple(out)
 
 
-def character_images(a: GroupAlgebraElem) -> tuple[int, list[list[int]]]:
-    """(den, images): den the lcm of a's denominators, and chi(den * a) in
+def character_images(a: GroupAlgebraElem) -> list[list[int]]:
+    """chi(a.den * a), which is chi of a's integer numerators, in
     Z[x]/Phi_m for each character of :func:`character_orbits`, reduced below
     degree phi(m); the empty list is zero.  Phi_m is monic over Z, so the
     reduction divides by nothing."""
-    den, nums = _numerators(a)
     images = []
     for m, u in character_orbits(a.group):
         vec = [0] * m
-        for e, n in nums:
+        for e, n in a.nums.items():
             vec[sum(x * y for x, y in zip(u, e)) % m] += n
         images.append(pdivmod(vec, cyclotomic(m))[2])
-    return den, images
+    return images
 
 
 def _character_index(divisors: Sequence[int], u: Element, m: int) -> list[int]:
@@ -494,7 +495,7 @@ def _character_index(divisors: Sequence[int], u: Element, m: int) -> list[int]:
 def gr_is_unit(a: GroupAlgebraElem) -> bool:
     """Unit test in Q[H]: chi(a) != 0 on every orbit, checked by the cached
     :func:`gr_inverse`, since a unit pivot candidate's inverse is needed next."""
-    return len(a.coeffs) == 1 or gr_inverse(a) is not None
+    return len(a.nums) == 1 or gr_inverse(a) is not None
 
 
 _INVERSE_CACHE: dict = {}
@@ -503,25 +504,25 @@ _INVERSE_CACHE: dict = {}
 def gr_inverse(a: GroupAlgebraElem) -> GroupAlgebraElem | None:
     """Exact inverse in Q[H], or None if ``a`` is not a unit.
 
-    With a = A / den and A integral, each image chi(A) in Z[x]/Phi_m is
-    inverted up to an integer, s * chi(A) = r mod Phi_m
+    With a = A / den and A = a.nums integral, each image chi(A) in
+    Z[x]/Phi_m is inverted up to an integer, s * chi(A) = r mod Phi_m
     (:func:`~k1alex.snf.inverse_mod`), so chi(a)^-1 = den * s / r.  Fourier
     inversion, b_h = (1/|H|) sum_orbits Tr(chi(a)^-1 * zeta_m^-(u . h)),
     then sums the integer rows (L / r) Tr(s * zeta_m^-j), with L the lcm of
-    the r, and divides once per coefficient: b_h = den * sum / (L |H|).
+    the r: the inverse has numerators den * sum over the denominator L |H|.
     Results are memoized: elimination pivots and their leading coefficients
     recur heavily across a run.
     """
-    if not a.coeffs:
+    if not a.nums:
         return None
-    if len(a.coeffs) == 1:
-        ((e, c),) = a.coeffs.items()
-        return GroupAlgebraElem.of(a.group, a.group.neg(e), 1 / c)
+    if len(a.nums) == 1:
+        ((e, n),) = a.nums.items()
+        return GroupAlgebraElem.of(a.group, a.group.neg(e), Fraction(a.den, n))
     key = (a.group.divisors, frozenset(a.coeffs.items()))
     if key in _INVERSE_CACHE:
         return _INVERSE_CACHE[key]
     group = a.group
-    den, images = character_images(a)
+    images = character_images(a)
     result = None
     if all(images):
         orbits = character_orbits(group)
@@ -534,9 +535,8 @@ def gr_inverse(a: GroupAlgebraElem) -> GroupAlgebraElem | None:
             row = [scale * sum(sk * tr[(k - j) % m] for k, sk in enumerate(s) if sk)
                    for j in range(m)]
             b = [x + row[j] for x, j in zip(b, _character_index(group.divisors, u, m))]
-        n = big * group.order
-        result = GroupAlgebraElem._reduced(
-            group, {h: Fraction(x * den, n) for h, x in zip(group.elements(), b) if x})
+        result = GroupAlgebraElem._make(group, big * group.order,
+                                        {h: x * a.den for h, x in zip(group.elements(), b)})
     if len(_INVERSE_CACHE) < 4096:
         _INVERSE_CACHE[key] = result
     return result
@@ -571,7 +571,7 @@ class OrbitClass:
         return sum(self.coeffs.values(), Fraction(0))
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, OrbitClass) and self.group == other.group
+        return (isinstance(other, OrbitClass) and self.kappa == other.kappa
                 and self.coeffs == other.coeffs)
 
     def __add__(self, other: "OrbitClass") -> "OrbitClass":

@@ -343,7 +343,7 @@ def is_unit_laurent(p: LaurentPolyGA) -> bool:
     """
     pending = range(len(character_orbits(p.group)))
     for d in sorted(p.terms):
-        images = character_images(p.terms[d])[1]
+        images = character_images(p.terms[d])
         pending = [i for i in pending if not images[i]]
         if not pending:
             return True

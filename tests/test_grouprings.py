@@ -55,6 +55,14 @@ def test_gr_add_examples():
     assert GroupAlgebraElem.zero(H) + x == x
 
 
+def test_constructor_sums_keys_that_normalize_alike():
+    H, _ = z5_negation()
+    assert ga(H, {(1,): 1, (6,): 1}) == ga(H, {(1,): 2})
+    assert ga(H, {(1,): 1, (6,): -1}).is_zero()
+    half = ga(H, {(1,): Fraction(1, 6), (-4,): Fraction(1, 3)})
+    assert (half.den, half.nums) == (2, {(1,): 1})
+
+
 def test_gr_mul_examples():
     H, _ = z5_negation()
     x2, x4 = ga(H, {(2,): 1}), ga(H, {(4,): 1})
@@ -149,6 +157,68 @@ def test_packed_product_enters_mul_once(monkeypatch):
     result = a * b
     assert len(mul_calls) == 1 and len(packed) == 1
     assert result.coeffs == dict_ga_mul(a, b)
+
+
+def _check_storage(a, expected):
+    """a holds integer numerators over a positive den in lowest terms, and
+    its Fraction view equals the oracle ``expected``."""
+    assert isinstance(a.den, int) and a.den > 0
+    assert all(isinstance(n, int) and n for n in a.nums.values())
+    assert gcd(a.den, *a.nums.values()) == 1
+    assert a.coeffs == {e: c for e, c in expected.items() if c}
+
+
+def _fraction_sum(a, b, sign=1):
+    out = dict(a.coeffs)
+    for e, c in b.coeffs.items():
+        out[e] = out.get(e, 0) + sign * c
+    return out
+
+
+@pytest.mark.parametrize("divisors", [(), (2,), (7,), (3, 21), (11, 11)])
+def test_storage_stays_in_lowest_terms(divisors, monkeypatch):
+    """Every operation returns den > 0 and coprime nonzero numerators with
+    the Fraction oracle's values; equal results of different routes hash
+    alike."""
+    real = grouprings._packed_product
+    packed = _count_packed(monkeypatch)
+    rng = random.Random(sum(divisors) + 2)
+    H = FiniteAbelianGroup(divisors)
+    negation = GroupAut(H, [[-1 if i == j else 0 for j in range(H.rank)]
+                            for i in range(H.rank)])
+    one = GroupAlgebraElem.one(H)
+    routes, units = set(), 0
+    for i in range(16):
+        big = i % 4 == 0
+        a = _rand_dense(rng, H, rng.randint(1, min(H.order, 40)), big=big)
+        b = _rand_dense(rng, H, rng.randint(1, min(H.order, 40)), big=i % 4 == 1)
+        ab = dict_ga_mul(a, b)
+        _check_storage(a + b, _fraction_sum(a, b))
+        _check_storage(a - b, _fraction_sum(a, b, -1))
+        _check_storage(a - a, {})
+        calls = len(packed)
+        _check_storage(a * b, ab)
+        routes.add(len(packed) > calls)
+        _check_storage(real(a, b), ab)
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+        _check_storage(a.scale(c), {e: v * c for e, v in a.coeffs.items()})
+        _check_storage(a.scale(a.den), {e: v * a.den for e, v in a.coeffs.items()})
+        assert a.scale(a.den).den == 1 and a.scale(0).is_zero()
+        _check_storage(a.apply_aut(negation),
+                       {negation.apply(e): v for e, v in a.coeffs.items()})
+        for x, y in (((a + b) - b, a), (a.scale(c).scale(1 / c), a),
+                     (real(a, b), b * a), (ga(H, ab), a * b),
+                     (a.apply_aut(negation).apply_aut(negation), a)):
+            assert x == y and hash(x) == hash(y)
+        inv = None if big else gr_inverse(a)
+        if inv is not None:
+            units += 1
+            _check_storage(inv, inv.coeffs)  # its values: the product with a, next
+            assert dict_ga_mul(a, inv) == {H.identity(): Fraction(1)}
+            assert a * inv == one and hash(a * inv) == hash(one)
+    assert units
+    # the schoolbook loop ran, and the packed route too once H is large enough
+    assert routes == ({False} if H.order ** 2 < 16 else {False, True})
 
 
 def test_gr_mul_group_mismatch():
@@ -520,6 +590,13 @@ def test_orbit_class_equality_and_sum():
     b = orbit_project(ga(H, {(4,): 1}), kappa)
     assert a == b
     assert (a + b).coeffs == {(1,): Fraction(2)}
+
+
+def test_orbit_class_equality_sees_the_automorphism():
+    H, kappa = z5_negation()
+    a = OrbitClass(H, kappa, {(1,): 1})
+    assert a != OrbitClass(H, GroupAut.identity(H), {(1,): 1})
+    assert a == OrbitClass(H, GroupAut(H, [[4]]), {(4,): 1})  # kappa from another matrix
 
 
 def test_orbit_class_keys_are_canonical():
