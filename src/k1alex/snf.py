@@ -1,5 +1,6 @@
-"""Exact integer algebra: the Smith normal form U * A * V = D, and division
-with remainder and the extended Euclidean algorithm in Z[x].
+"""Exact integer algebra: the Smith normal form U * A * V = D, division
+with remainder and the extended Euclidean algorithm in Z[x], and products
+in Z[H] by Kronecker substitution (:func:`kronecker_product`).
 
 The Smith normal form is the one exact elimination over Z: it reads the
 finite group H off the cover homology (:mod:`k1alex.cover`) and decides that
@@ -12,9 +13,11 @@ them (:func:`~k1alex.grouprings.gr_inverse`) without leaving the integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
-from math import gcd
-from typing import Sequence
+from functools import lru_cache
+from itertools import product, zip_longest
+from math import gcd, prod
+from operator import mul
+from typing import Mapping, Sequence
 
 
 class SNFError(RuntimeError):
@@ -44,10 +47,8 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        return IntMatrix([[sum(self.rows[i][k] * other.rows[k][j]
-                               for k in range(self.ncols))
-                           for j in range(other.ncols)]
-                          for i in range(self.nrows)])
+        cols = list(zip(*other.rows))
+        return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in self.rows])
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix([[self.rows[i][j] for i in range(self.nrows)]
@@ -237,3 +238,70 @@ def inverse_mod(c: Sequence[int], f: Sequence[int]) -> tuple[list[int], int]:
         g = gcd(*r, *s)
         r0, r1, s0, s1 = r1, [x // g for x in r], s1, [x // g for x in s]
     return s1, r1[0]
+
+
+@lru_cache(maxsize=None)
+def kronecker_slots(divisors: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
+    """Slot of each element, and the slot count, for packing Z/d_1 x ... x
+    Z/d_r with 2 d_i - 1 slots per factor, the last factor the lowest digit.
+    A slot is an exponent vector k with k_i < 2 d_i - 1, so the exponents of
+    a product of two elements never carry."""
+    radix = [2 * d - 1 for d in divisors]
+    steps = [prod(radix[i + 1:]) for i in range(len(divisors))]
+    return ({e: sum(x * s for x, s in zip(e, steps))
+             for e in product(*(range(d) for d in divisors))}, prod(radix))
+
+
+@lru_cache(maxsize=8)
+def _fold_masks(divisors: tuple[int, ...],
+                width: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The offset, 2^(8 width - 1) in every slot of ``width`` bytes, and per
+    factor i the slots with k_i >= d_i: their mask, the offset on them, and
+    the shift by d_i steps of digit i that moves them onto k_i - d_i."""
+    radix, half = [2 * d - 1 for d in divisors], bytes(width - 1) + b"\x80"
+    folds = []
+    for i, d in enumerate(divisors):
+        step, blocks = prod(radix[i + 1:]), prod(radix[:i])
+        mask, high = (int.from_bytes((bytes(width * step * d) + fill * (step * (d - 1)))
+                                     * blocks, "little") for fill in (b"\xff" * width, half))
+        folds.append((mask, high, 8 * width * step * d))
+    return int.from_bytes(half * prod(radix), "little"), tuple(folds)
+
+
+def slot_width(a: Mapping[tuple[int, ...], int], b: Mapping[tuple[int, ...], int]) -> int:
+    """Bytes per slot that hold any sum of at most min(|a|, |b|) products of
+    a value of ``a`` and one of ``b`` signed, with a spare top bit."""
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    return bound.bit_length() // 8 + 1
+
+
+def kronecker_product(divisors: tuple[int, ...], a: Mapping[tuple[int, ...], int],
+                      b: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """The product in Z[Z/d_1 x ... x Z/d_r] of nonempty ``a`` and ``b``
+    (exponent tuple -> int; zero values kept) as one product of two ints.
+
+    Each operand is packed at its elements' slots (:func:`kronecker_slots`),
+    each slot plus the offset 2^(8 width - 1), a nonnegative digit wide
+    enough (:func:`slot_width`) for any sum of slots that fold onto one
+    element.  Each factor then folds on the int itself: the slots with
+    k_i >= d_i, less their offset, are masked out, shifted down by d_i
+    steps of digit i and added back.  Only the elements' slots are read.
+    """
+    slot_of, nslots = kronecker_slots(divisors)
+    width = slot_width(a, b)
+    half = 1 << (8 * width - 1)
+    offset, folds = _fold_masks(divisors, width)
+    ints = []
+    for x in (a, b):
+        buf = bytearray(offset.to_bytes(width * nslots, "little"))
+        for e, n in x.items():
+            k = slot_of[e] * width
+            buf[k:k + width] = (n + half).to_bytes(width, "little")
+        ints.append(int.from_bytes(buf, "little") - offset)
+    q = ints[0] * ints[1] + offset
+    for mask, high, shift in folds:
+        moved = (q & mask) - high
+        q += (moved >> shift) - moved
+    raw = q.to_bytes(width * nslots, "little")
+    return {e: int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
+            for e, k in slot_of.items()}

@@ -109,6 +109,27 @@ def test_snf_u_inv_round_trip():
         assert r.U_inv @ r.U == IntMatrix.identity(n)
 
 
+def test_intmatrix_matmul_matches_triple_loop():
+    """Row-times-column products equal the triple loop on seeded shapes,
+    with negative and 100-bit entries; a shape mismatch raises."""
+    rng = random.Random(17)
+    assert (IntMatrix([]) @ IntMatrix([])).rows == []
+    assert (IntMatrix([[], []]) @ IntMatrix([])).rows == [[], []]
+    shapes = [(1, 1, 1), (1, 5, 1), (1, 4, 3), (4, 1, 1), (3, 1, 4), (2, 3, 5), (5, 2, 3),
+              (1, 3, 0), (4, 4, 4)] + [tuple(rng.randint(1, 6) for _ in range(3))
+                                      for _ in range(20)]
+    for m, k, n in shapes:
+        bits = rng.choice((3, 100))
+        A = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(k)] for _ in range(m)]
+        B = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)] for _ in range(k)]
+        C = IntMatrix(A) @ IntMatrix(B)
+        assert C.rows == [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)]
+                          for i in range(m)]
+        assert (C.nrows, C.ncols) == (m, n)
+        with pytest.raises(ValueError):
+            IntMatrix(A) @ IntMatrix(A if m != k else [row + [0] for row in A] + [[0] * (k + 1)])
+
+
 def test_snf_check_catches_a_corrupted_factor():
     """On a nonsingular cover matrix, bumping any one entry of U, U_inv, V or
     D breaks U A V = D or U U_inv = I, and the check raises."""

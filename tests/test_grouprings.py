@@ -124,8 +124,7 @@ def test_packed_product_dense_29_squared(monkeypatch):
 
 
 @pytest.mark.parametrize("divisors", [(29,), (3, 21), (11, 11)])
-def test_packed_product_cancellations(divisors, monkeypatch):
-    packed = _count_packed(monkeypatch)
+def test_packed_product_cancellations(divisors):
     H = FiniteAbelianGroup(divisors)
     one = GroupAlgebraElem.one(H)
     x = ga(H, {H.generator_basis()[-1]: 1})
@@ -142,7 +141,9 @@ def test_packed_product_cancellations(divisors, monkeypatch):
     single = {s: Fraction(2 ** H.rank, 3)}
     assert (lift * alt).coeffs == single
     assert dict_ga_mul(lift, alt) == single
-    assert len(packed) == 2
+    # ``*`` may take either route here; the packed one cancels alike
+    packed = grouprings._packed_product
+    assert packed(one - x, norm).is_zero() and packed(lift, alt).coeffs == single
 
 
 def test_packed_product_enters_mul_once(monkeypatch):
@@ -228,6 +229,108 @@ def test_gr_mul_group_mismatch():
         GroupAlgebraElem.one(H1) + GroupAlgebraElem.one(H2)
 
 
+def test_operands_outside_the_group_algebra_raise_type_error():
+    H, _ = z5_negation()
+    one, other = GroupAlgebraElem.one(H), GroupAlgebraElem.one(FiniteAbelianGroup([3]))
+    for op in (lambda: one + 1, lambda: 1 + one, lambda: one - 1, lambda: 1 - one,
+               lambda: 3 * one, lambda: one * 3, lambda: one * "x", lambda: one * 0.5,
+               lambda: one + None):
+        with pytest.raises(TypeError):
+            op()
+    for op in (lambda: one + other, lambda: one - other, lambda: one * other,
+               lambda: other * one):
+        with pytest.raises(GroupError):
+            op()
+    assert GroupAlgebraElem.__rmul__ is GroupAlgebraElem.__mul__
+
+
+PRODUCT_GROUPS = [(), (5,), (7,), (2, 2), (2, 2, 4), (3, 21), (5, 35), (29, 29)]
+
+
+def _rand_wide(rng, group, terms, max_bits=200):
+    """``terms`` distinct elements with numerators of 1 to ``max_bits`` bits,
+    mixed signs, over a small denominator."""
+    coeffs = {}
+    for e in rng.sample(list(group.elements()), terms):
+        bits = rng.randint(1, max_bits)
+        num = rng.choice((-1, 1)) * rng.randint(1 << (bits - 1), (1 << bits) - 1)
+        coeffs[e] = Fraction(num, rng.choice((1, 1, 2, 6)))
+    return ga(group, coeffs)
+
+
+def _force_schoolbook(monkeypatch):
+    """Make the packed route look too expensive for every product."""
+    monkeypatch.setattr(grouprings, "slot_width", lambda a, b: 10 ** 9)
+
+
+@pytest.mark.parametrize("divisors", PRODUCT_GROUPS)
+def test_both_product_routes_match_dict_oracle(divisors, monkeypatch):
+    """The packed route, called directly, and the schoolbook route, forced
+    for every shape, agree with the dict oracle: 1-term operands, sparse
+    and dense ones, numerators of 1 to 200 bits of both signs, results in
+    lowest terms."""
+    packed = grouprings._packed_product
+    rng = random.Random(sum(divisors) * 7 + len(divisors))
+    H = FiniteAbelianGroup(divisors)
+    cap = min(H.order, 40)
+    shapes = [(1, 1), (1, cap), (cap, 1), (min(2, cap), cap), (cap, cap)] + [
+        (rng.randint(1, cap), rng.randint(1, cap)) for _ in range(6)]
+    cases = [(_rand_wide(rng, H, i), _rand_wide(rng, H, j)) for i, j in shapes]
+    _force_schoolbook(monkeypatch)
+    for a, b in cases:
+        expected = dict_ga_mul(a, b)
+        _check_storage(packed(a, b), expected)
+        _check_storage(a * b, expected)
+        _check_storage(b * a, expected)
+
+
+@pytest.mark.parametrize("divisors", PRODUCT_GROUPS)
+def test_packed_slots_at_the_byte_boundaries(divisors):
+    """(c N) N = c |H| N for the norm element N = sum of all of H: every
+    coefficient of the product reaches the slot bound c |H| that sizes the
+    slots.  Bounds whose bit length is 8k - 1 (k bytes, the top bit spare)
+    and 8k (k + 1 bytes) both come out exact, with either sign."""
+    H = FiniteAbelianGroup(divisors)
+    norm = {e: 1 for e in H.elements()}
+    seen = set()
+    for k in (1, 2, 3, 8):
+        top = 1 << (8 * k - 1)
+        for c in range(max(1, top // H.order - 2), (top + 2 * H.order) // H.order + 3):
+            for sign in (1, -1):
+                a, b = ga(H, {e: sign * c for e in norm}), ga(H, {e: 1 for e in norm})
+                bound = c * H.order
+                seen.add(bound.bit_length() % 8)
+                assert grouprings.slot_width(a.nums, b.nums) == bound.bit_length() // 8 + 1
+                _check_storage(grouprings._packed_product(a, b),
+                               {e: Fraction(sign * bound) for e in norm})
+    assert {0, 7} <= seen
+
+
+@pytest.mark.parametrize("divisors", PRODUCT_GROUPS[1:])
+def test_cancelled_keys_are_dropped_on_both_routes(divisors, monkeypatch):
+    """(1 - g) times a g-periodic element cancels on every key, and times
+    that element plus one spike r at the identity on all but two: r and
+    -r g.  Cancelled keys are dropped on both routes."""
+    rng = random.Random(len(divisors) + 11)
+    H = FiniteAbelianGroup(divisors)
+    g = H.generator_basis()[-1]
+    one_minus_g = ga(H, {H.identity(): 1, g: -1})
+    big = 1 << 150
+    periodic = ga(H, {e: big + sum(e[:-1]) for e in H.elements()})  # constant along g
+    r = rng.randint(1, big)
+    spiked = periodic + ga(H, {H.identity(): r})
+    packed = grouprings._packed_product
+    _force_schoolbook(monkeypatch)
+    for a, b in ((one_minus_g, periodic), (periodic, one_minus_g),
+                 (one_minus_g, spiked), (spiked, one_minus_g)):
+        expected = dict_ga_mul(a, b)
+        for product_ab in (packed(a, b), a * b):
+            _check_storage(product_ab, expected)
+    assert (one_minus_g * periodic).is_zero() and packed(one_minus_g, periodic).is_zero()
+    spike = {H.identity(): r, g: -r}
+    assert (one_minus_g * spiked).nums == packed(one_minus_g, spiked).nums == spike
+
+
 def test_ring_axioms_random():
     rng = random.Random(5)
     H, _ = z5_negation()
@@ -307,6 +410,30 @@ def test_aut_tables_compose_from_the_cached_chain(monkeypatch):
         other = GroupAut(H, kappa.matrix)
         for p in rng.sample(range(1, order), order - 1):
             assert other._table(p) == tables[p]
+
+
+def test_aut_table_matches_iterated_apply_once():
+    """kappa^p's table sends every element where p applications of kappa
+    do, over groups of rank 0 to 3 and seeded automorphisms."""
+    rng = random.Random(41)
+    for divisors in ((), (7,), (12,), (2, 6), (5, 5), (2, 2, 4), (3, 3, 9)):
+        H = FiniteAbelianGroup(divisors)
+        found = 0
+        while found < 4:
+            try:
+                kappa = GroupAut(H, [[rng.randint(-30, 30) for _ in divisors]
+                                     for _ in divisors])
+            except GroupError:
+                continue
+            found += 1
+            for p in rng.sample(range(1, kappa.order + 1), min(kappa.order, 3)):
+                table = kappa._table(p)
+                assert len(table) == H.order
+                for e in H.elements():
+                    image = e
+                    for _ in range(p):
+                        image = kappa._apply_once(image)
+                    assert table[e] == image
 
 
 def test_aut_rejects_non_bijective():
