@@ -71,6 +71,7 @@ from .upsilon import (
     UpsilonMatrix,
     canonical_form,
     det_commutative,
+    det_upsilon,
     is_unit_laurent,
     metafinite_polynomial,
     poly_equiv,

@@ -242,7 +242,7 @@ def eliminate(mx: NovikovMatrix) -> K1Report:
 def _det_upsilon(mx: NovikovMatrix):
     """det Upsilon(mx) at period N = ord kappa, and whether it is a unit."""
     from . import upsilon
-    det = upsilon.det_commutative(upsilon.upsilon_matrix(mx, mx.kappa.order))
+    det = upsilon.det_upsilon(mx, mx.kappa.order)
     return det, upsilon.is_unit_laurent(det)
 
 

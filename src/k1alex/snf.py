@@ -25,17 +25,21 @@ class SNFError(RuntimeError):
 
 
 class IntMatrix:
-    """Dense integer matrix with explicit shape; entries are Python ints."""
+    """Dense integer matrix with explicit shape; entries are Python ints.
+
+    A matrix with no rows takes its column count from ``ncols``; rows, when
+    there are any, fix it themselves.
+    """
 
     __slots__ = ("rows", "nrows", "ncols")
 
-    def __init__(self, rows: Sequence[Sequence[int]]):
+    def __init__(self, rows: Sequence[Sequence[int]], ncols: int = 0):
         rows = [list(map(int, r)) for r in rows]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
         self.rows = rows
         self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
+        self.ncols = len(rows[0]) if rows else ncols
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -47,15 +51,17 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows))
-        return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in self.rows])
+        cols = list(zip(*other.rows)) or [()] * other.ncols
+        return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in self.rows],
+                         other.ncols)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                          for j in range(self.ncols)])
+                          for j in range(self.ncols)], self.nrows)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
+        return (isinstance(other, IntMatrix) and self.rows == other.rows
+                and self.ncols == other.ncols)
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows})"

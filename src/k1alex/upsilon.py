@@ -21,8 +21,14 @@ columns open across its N rows and the table grows exponentially in N.
 The rows are instead taken greedily by the fewest open columns, which
 interleaves the n blocks so that they advance together, a row of each in
 turn; column sets that miss a column no later row can fill are dropped.
-The width then stays bounded in N.  Invertibility of a Laurent polynomial over
-Q[H]((t)) is decided exactly on the characters of H.
+The width then stays bounded in N.  The expansion runs on plain
+{degree: coefficient} maps, and the grid it reads holds each relation
+term's N monomials, with one shared zero polynomial everywhere else.
+
+:func:`det_upsilon`, the one route to det Upsilon, remembers its latest
+result keyed on the exact content of the matrix and the period, so
+``k1alex compute`` takes each determinant once.  Invertibility of a Laurent
+polynomial over Q[H]((t)) is decided exactly on the characters of H.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from typing import Mapping, Sequence
 from .grouprings import (
     FiniteAbelianGroup,
     GroupAlgebraElem,
+    GroupAut,
     GroupError,
     MetaRep,
     character_images,
@@ -150,6 +157,34 @@ class UpsilonMatrix:
         return self.entries[ij[0]][ij[1]]
 
 
+def _untwist(entries: Sequence[Sequence[NovikovSeries]], kappa: GroupAut,
+             period: int) -> UpsilonMatrix:
+    """Place the N monomials of every term of every entry into the grid.
+
+    Term a tau^ell of entry (bi, bj) puts kappa^(N-i)(a) t^ell at row
+    bi*N + i, column bj*N + (i - ell) mod N, for i = 0 .. N-1.  Cells no
+    term reaches share one zero polynomial.
+    """
+    if period < 1 or period % kappa.order != 0:
+        raise GroupError(f"period {period} is not a multiple of the "
+                         f"automorphism order {kappa.order}")
+    group = kappa.group
+    N = period
+    cells: dict[tuple[int, int], dict[int, GroupAlgebraElem]] = {}
+    for bi, row in enumerate(entries):
+        for bj, a in enumerate(row):
+            for ell, coeff in a.terms.items():
+                for i in range(N):
+                    cell = cells.setdefault((bi * N + i, bj * N + (i - ell) % N), {})
+                    cell[ell] = coeff.apply_aut(kappa, N - i)
+    zero = LaurentPolyGA.zero(group)
+    size = len(entries) * N
+    grid = [[zero] * size for _ in range(size)]
+    for (i, j), terms in cells.items():
+        grid[i][j] = LaurentPolyGA(group, terms)
+    return UpsilonMatrix(grid, group, N)
+
+
 def upsilon_elem(a: NovikovSeries, period: int) -> UpsilonMatrix:
     """Image of one series under the untwisting map, as an N x N block.
 
@@ -157,36 +192,12 @@ def upsilon_elem(a: NovikovSeries, period: int) -> UpsilonMatrix:
     window, nothing truncated away) and ``period`` a multiple of the order of
     its twisting automorphism.
     """
-    kappa = a.kappa
-    if period < 1 or period % kappa.order != 0:
-        raise GroupError(f"period {period} is not a multiple of the "
-                         f"automorphism order {kappa.order}")
-    group = kappa.group
-    N = period
-    blk = [[LaurentPolyGA.zero(group) for _ in range(N)] for _ in range(N)]
-    for ell, coeff in a.terms.items():
-        for i in range(1, N + 1):
-            j = (i - 1 - ell) % N
-            twisted = coeff.apply_aut(kappa, N + 1 - i)
-            blk[i - 1][j] = blk[i - 1][j] + LaurentPolyGA.monomial(twisted, ell)
-    return UpsilonMatrix(blk, group, N)
+    return _untwist([[a]], a.kappa, period)
 
 
 def upsilon_matrix(mx: NovikovMatrix, period: int | None = None) -> UpsilonMatrix:
     """Entrywise untwisting of a Novikov matrix into blocks."""
-    if period is None:
-        period = mx.kappa.order
-    n = mx.size
-    N = period
-    group = mx.kappa.group
-    big = [[LaurentPolyGA.zero(group) for _ in range(n * N)] for _ in range(n * N)]
-    for bi in range(n):
-        for bj in range(n):
-            blk = upsilon_elem(mx[bi, bj], N)
-            for i in range(N):
-                for j in range(N):
-                    big[bi * N + i][bj * N + j] = blk[i, j]
-    return UpsilonMatrix(big, group, N)
+    return _untwist(mx.entries, mx.kappa, mx.kappa.order if period is None else period)
 
 
 def _row_order(supports: Sequence[int]) -> tuple[list[int], int]:
@@ -232,15 +243,20 @@ def det_commutative(U: UpsilonMatrix) -> LaurentPolyGA:
     bounded width is open at a time.  A column set is dropped as soon as it
     misses a column no later row can fill, and a zero column gives zero at
     once.  Multiplicative and alternating like any determinant.
+
+    The table runs on plain maps: a minor is ``{degree: coefficient}``, and
+    a row is its nonzero cells as (column, bit, terms, negated terms), the
+    negated copy serving the expansion's odd-sign positions, so the inner
+    loop makes only the Q[H] products and sums themselves.
     """
     n = U.size
     group = U.group
     zero = LaurentPolyGA.zero(group)
     if n == 0:
         return LaurentPolyGA.one(group)
-    rows = [[(j, e) for j, e in enumerate(row) if not e.is_zero()]
-            for row in U.entries]
-    supports = [sum(1 << j for j, _ in row) for row in rows]
+    rows = [[(j, 1 << j, list(e.terms.items()), [(d, -c) for d, c in e.terms.items()])
+             for j, e in enumerate(row) if e.terms] for row in U.entries]
+    supports = [sum(bit for _, bit, _, _ in row) for row in rows]
     full = (1 << n) - 1
     order, sign = _row_order(supports)
     # fillable[k]: columns some row at position >= k of the order touches
@@ -249,31 +265,40 @@ def det_commutative(U: UpsilonMatrix) -> LaurentPolyGA:
         fillable[k] = fillable[k + 1] | supports[order[k]]
     if fillable[0] != full:
         return zero
-    frontier: dict[int, LaurentPolyGA] = {0: LaurentPolyGA.one(group)}
+    frontier: dict[int, dict[int, GroupAlgebraElem]] = {0: {0: GroupAlgebraElem.one(group)}}
     for k, r in enumerate(order):
         # a column set must already hold every column the rest cannot fill
         must = full & ~fillable[k + 1]
-        nxt: dict[int, LaurentPolyGA] = {}
+        nxt: dict[int, dict[int, GroupAlgebraElem]] = {}
         for mask, minor in frontier.items():
-            for j, e in rows[r]:
-                bit = 1 << j
+            minor_terms = list(minor.items())
+            for j, bit, plus, minus in rows[r]:
                 if mask & bit:
                     continue
                 key = mask | bit
                 if key & must != must:
                     continue
-                term = minor * e
-                if term.is_zero():
-                    continue
-                if (mask >> (j + 1)).bit_count() & 1:
-                    term = -term
+                terms = minus if (mask >> (j + 1)).bit_count() & 1 else plus
                 acc = nxt.get(key)
-                nxt[key] = term if acc is None else acc + term
-        frontier = {m: p for m, p in nxt.items() if not p.is_zero()}
+                if acc is None:
+                    acc = nxt[key] = {}
+                for d1, c1 in minor_terms:
+                    for d2, c2 in terms:
+                        d = d1 + d2
+                        c = c1 * c2
+                        s = acc.get(d)
+                        acc[d] = c if s is None else s + c
+        frontier = {}
+        for mask, minor in nxt.items():
+            minor = {d: c for d, c in minor.items() if c}
+            if minor:
+                frontier[mask] = minor
         if not frontier:
             return zero
-    det = frontier.get(full, zero)
-    return det if sign > 0 else -det
+    det = frontier.get(full)
+    if det is None:
+        return zero
+    return LaurentPolyGA(group, det if sign > 0 else {d: -c for d, c in det.items()})
 
 
 def canonical_form(p: LaurentPolyGA) -> LaurentPolyGA:
@@ -350,13 +375,42 @@ def is_unit_laurent(p: LaurentPolyGA) -> bool:
     return False
 
 
+_last_det: tuple = (None, None)  # (key, det) of the latest det_upsilon
+
+
+def det_upsilon(mx: NovikovMatrix, period: int) -> LaurentPolyGA:
+    """det Upsilon(mx) at ``period``, the one route to that determinant.
+
+    The latest result is remembered, keyed on the exact content of the
+    matrix: the group's divisors, kappa's matrix, the period and every
+    entry's terms as (degree, den, numerators).  Upsilon reads nothing else
+    (an entry's knowledge window never enters it), so a relation matrix
+    built at precision K and its rebuild at :data:`UPSILON_WINDOW` share one
+    key, and a hit returns the determinant of an equal input: the function
+    stays pure, and memory holds one determinant.
+    """
+    global _last_det
+    key = (mx.kappa.group.divisors, mx.kappa.matrix, period,
+           tuple(tuple(tuple((d, c.den, frozenset(c.nums.items())) for d, c in e.terms.items())
+                       for e in row) for row in mx.entries))
+    last_key, det = _last_det
+    if last_key != key:
+        # module globals, looked up per call, so a tracer may rebind both
+        det = det_commutative(upsilon_matrix(mx, period))
+        _last_det = key, det
+    return det
+
+
 def metafinite_polynomial(p: MeridianPresentation, rep: MetaRep) -> LaurentPolyGA:
     """Commutative determinant of the untwisted relation matrix.
 
     Computes det of the block image, at period ``rep.cover_n``, of the
     relation matrix built at :data:`~k1alex.k1core.UPSILON_WINDOW`, and
-    returns its canonical form.  Comparisons should go through
-    :func:`poly_equiv`, since the class is only defined up to unit monomials.
+    returns its canonical form.  The determinant goes through
+    :func:`det_upsilon`, so right after :func:`~k1alex.k1core.k1_invariant`
+    on the same input with ord kappa = N it is the one that call took.
+    Comparisons should go through :func:`poly_equiv`, since the class is
+    only defined up to unit monomials.
     """
     matrix = build_fox_matrix(p, rep, UPSILON_WINDOW)
-    return canonical_form(det_commutative(upsilon_matrix(matrix, rep.cover_n)))
+    return canonical_form(det_upsilon(matrix, rep.cover_n))

@@ -111,23 +111,31 @@ def test_snf_u_inv_round_trip():
 
 def test_intmatrix_matmul_matches_triple_loop():
     """Row-times-column products equal the triple loop on seeded shapes,
-    with negative and 100-bit entries; a shape mismatch raises."""
+    with negative and 100-bit entries and operands with no rows or no
+    columns; transposes swap the shape; a shape mismatch raises."""
     rng = random.Random(17)
     assert (IntMatrix([]) @ IntMatrix([])).rows == []
     assert (IntMatrix([[], []]) @ IntMatrix([])).rows == [[], []]
+    product = IntMatrix([], 1) @ IntMatrix([[1, 2]])
+    assert (product.rows, product.nrows, product.ncols) == ([], 0, 2)
+    assert product != IntMatrix([]) and product.transpose() == IntMatrix([[], []])
     shapes = [(1, 1, 1), (1, 5, 1), (1, 4, 3), (4, 1, 1), (3, 1, 4), (2, 3, 5), (5, 2, 3),
-              (1, 3, 0), (4, 4, 4)] + [tuple(rng.randint(1, 6) for _ in range(3))
-                                      for _ in range(20)]
+              (1, 3, 0), (4, 4, 4), (0, 1, 2), (0, 3, 0), (0, 0, 0), (2, 0, 3), (0, 2, 4),
+              (3, 0, 0)] + [tuple(rng.randint(1, 6) for _ in range(3)) for _ in range(20)]
     for m, k, n in shapes:
         bits = rng.choice((3, 100))
         A = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(k)] for _ in range(m)]
         B = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)] for _ in range(k)]
-        C = IntMatrix(A) @ IntMatrix(B)
+        C = IntMatrix(A, k) @ IntMatrix(B, n)
         assert C.rows == [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)]
                           for i in range(m)]
         assert (C.nrows, C.ncols) == (m, n)
+        T = IntMatrix(A, k).transpose()
+        assert (T.nrows, T.ncols) == (k, m)
+        assert T.transpose() == IntMatrix(A, k)
         with pytest.raises(ValueError):
-            IntMatrix(A) @ IntMatrix(A if m != k else [row + [0] for row in A] + [[0] * (k + 1)])
+            IntMatrix(A, k) @ (IntMatrix(A, k) if m != k
+                               else IntMatrix([row + [0] for row in A] + [[0] * (k + 1)]))
 
 
 def test_snf_check_catches_a_corrupted_factor():

@@ -15,6 +15,7 @@ from k1alex import (
     LaurentPolyGA,
     build_fox_matrix,
     builtin,
+    canonical_form,
     det_commutative,
     eliminate,
     fibered_obstruction,
@@ -22,6 +23,7 @@ from k1alex import (
     is_unit_laurent,
     k1_invariant,
     metabelian_rep,
+    metafinite_polynomial,
     ns_invert,
     trivial_rep,
     upsilon_matrix,
@@ -320,9 +322,11 @@ def test_fibered_obstruction_runs_no_elimination_or_log(monkeypatch):
 
 
 def _count_det_calls(monkeypatch):
-    """Record every argument upsilon.det_commutative is called with."""
+    """Record every argument upsilon.det_commutative is called with, from an
+    empty det_upsilon memo."""
     import k1alex.upsilon as upsilon
     calls = []
+    monkeypatch.setattr(upsilon, "_last_det", (None, None))
     det = upsilon.det_commutative
 
     def counting(U):
@@ -369,7 +373,8 @@ def test_fibered_obstruction_certifies_once(monkeypatch):
 
 def test_yes_verdict_computes_det_once(monkeypatch):
     """A "yes" matrix takes its logs from det Upsilon: one determinant per
-    k1_invariant call, at period ord kappa."""
+    k1_invariant call, at period ord kappa.  fibered_obstruction's first
+    matrix is the one k1_invariant just took, so only the N=3 one is new."""
     p = builtin("4_1")
     rep = metabelian_rep(p, 2)
     calls = _count_det_calls(monkeypatch)
@@ -379,7 +384,23 @@ def test_yes_verdict_computes_det_once(monkeypatch):
     assert calls[0].period == rep.kappa.order
     res = fibered_obstruction(p, [rep, metabelian_rep(p, 3)])
     assert res.verdicts == ("invertible", "invertible")
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name,n,periods", [("4_1", 5, [5]), ("3_1", 9, [3, 9])])
+def test_compute_takes_one_det_per_period(monkeypatch, name, n, periods):
+    """k1_invariant then metafinite_polynomial, as ``k1alex compute`` calls
+    them: det Upsilon is computed once per distinct period.  On 4_1 N=5 ord
+    kappa = N and the metafinite polynomial reuses k1_invariant's
+    determinant; on 3_1 N=9 ord kappa = 3 and both periods run."""
+    p = builtin(name)
+    rep = metabelian_rep(p, n)
+    calls = _count_det_calls(monkeypatch)
+    k1_invariant(p, rep, PREC)
+    poly = metafinite_polynomial(p, rep)
+    assert [U.period for U in calls] == periods
+    assert poly == canonical_form(det_commutative(upsilon_matrix(
+        build_fox_matrix(p, rep, PREC), n)))
 
 
 def test_pivot_trace_records_witt_type():
