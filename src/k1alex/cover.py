@@ -72,18 +72,20 @@ def metabelian_rep(p: MeridianPresentation, cover_n: int) -> MetaRep:
     H = FiniteAbelianGroup([ds[i] for i in tor_idx])
 
     # phi: Z^size -> cokernel coordinates, v |-> U v
-    U = snf.U
+    U = snf.U.rows
     images = []
     for i in range(p.rank):
         col = i * cover_n  # e_i tensor t^0
-        vec = [U[r, col] for r in range(size)]
-        images.append(tuple(vec[r] % ds[r] for r in tor_idx))
+        images.append(tuple(U[r][col] % ds[r] for r in tor_idx))
 
     # t sends basis vector j = (i, k) to nxt[j] = (i, k+1), so its column c in
-    # cokernel coordinates is sum_j U[:, nxt[j]] U_inv[j][c]; only torsion c is read
+    # cokernel coordinates is sum_j U[:, nxt[j]] U_inv[j][c], summed over the
+    # nonzero U_inv[j][c]; only torsion c is read
     nxt = [i * cover_n + (k + 1) % cover_n for i in range(p.rank) for k in range(cover_n)]
-    K = {c: [sum(row[nxt[j]] * snf.U_inv[j, c] for j in range(size)) for row in U.rows]
-         for c in tor_idx}
+    K = {}
+    for c in tor_idx:
+        moved = [(nxt[j], row[c]) for j, row in enumerate(snf.U_inv.rows) if row[c]]
+        K[c] = [sum(row[k] * v for k, v in moved) for row in U]
     for c in tor_idx:
         for r, d in enumerate(ds):
             if d == 0 and K[c][r] != 0:

@@ -6,7 +6,7 @@ divisibility chain d_1 | d_2 | ... | d_r; elements are exponent tuples.  A
 divisors.  A :class:`GroupAlgebraElem` is an element of Q[H], stored as
 integer numerators on group elements over one positive denominator, in
 lowest terms; all of its arithmetic runs on these integers, and ``coeffs``
-is a ``Fraction`` view for printing and projections.
+is a ``Fraction`` view for printing, keys and comparisons.
 
 A product in Q[H] takes one of two exact routes, whichever a measured cost
 model (:meth:`GroupAlgebraElem.__mul__`) finds cheaper.  The schoolbook
@@ -244,6 +244,8 @@ class GroupAut:
         return out
 
     def __eq__(self, other: object) -> bool:
+        if self is other:  # every series of a relation matrix shares one kappa
+            return True
         if not isinstance(other, GroupAut) or self.group != other.group:
             return False
         return all(self._apply_once(e) == other._apply_once(e)
@@ -587,11 +589,6 @@ class OrbitClass:
             f"{c}*[{self.group.element_str(e)}]" for e, c in sorted(self.coeffs.items()))
 
     __repr__ = __str__
-
-
-def orbit_project(a: GroupAlgebraElem, kappa: GroupAut) -> OrbitClass:
-    """Project onto the kappa-coinvariants A / {a - kappa(a)}."""
-    return OrbitClass(a.group, kappa, a.coeffs)
 
 
 @dataclass(frozen=True)

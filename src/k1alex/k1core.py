@@ -111,17 +111,15 @@ def fox_image(rep: MetaRep, w: Word, i: int) -> GroupAlgebraElem:
     word must be in x_1 .. x_rank; H is abelian, so rho(prefix) is the sum
     of the letter images read so far.
     """
-    g = rep.group
-    step_image = {}
-    for k, img in enumerate(rep.images, 1):
-        step_image[k, 1], step_image[k, -1] = img, g.neg(img)
+    g, images = rep.group, dict(enumerate(rep.images, 1))
     out: dict = {}
     prefix = g.identity()
-    for letter in w.syllables():
-        after = g.add(prefix, step_image[letter])
-        if letter[0] == i:
-            e = prefix if letter[1] > 0 else after
-            out[e] = out.get(e, 0) + letter[1]
+    for gen, step in w.syllables():
+        img = images[gen]
+        after = g.add(prefix, img if step > 0 else g.neg(img))
+        if gen == i:
+            e = prefix if step > 0 else after
+            out[e] = out.get(e, 0) + step
         prefix = after
     return GroupAlgebraElem(g, out)
 
@@ -246,6 +244,22 @@ def _det_upsilon(mx: NovikovMatrix):
     return det, upsilon.is_unit_laurent(det)
 
 
+_last_matrix: tuple = (None, None, None)  # (p, rep, matrix) of the latest k1_invariant
+
+
+def latest_relation_matrix(p: MeridianPresentation, rep: MetaRep) -> NovikovMatrix | None:
+    """The relation matrix the latest :func:`k1_invariant` built, if that
+    call's presentation and rep equal ``p`` and ``rep``; else None.
+
+    det Upsilon reads only each entry's tau^0 and tau^1 terms, which every
+    window holds whole, so a matrix built at precision K serves det Upsilon
+    as one built at :data:`UPSILON_WINDOW` would.  Only the latest matrix is
+    held, and it matches by value, so a hit comes from an equal input.
+    """
+    last_p, last_rep, mx = _last_matrix
+    return mx if last_p == p and last_rep == rep else None
+
+
 def k1_invariant(p: MeridianPresentation, rep: MetaRep,
                  precision: int = DEFAULT_PRECISION) -> K1Report:
     """Full pipeline: build the relation matrix, eliminate, normalize.
@@ -259,7 +273,9 @@ def k1_invariant(p: MeridianPresentation, rep: MetaRep,
     the logs are read off P (:func:`ns_log`); when it stalls, delta, the
     Witt part and the logs stay None.
     """
+    global _last_matrix
     mx = build_fox_matrix(p, rep, precision)
+    _last_matrix = p, rep, mx
     report = eliminate(mx)
     det, unit = _det_upsilon(mx)
     report.invertible = "yes" if unit else "no"
@@ -288,13 +304,17 @@ def fibered_obstruction(p: MeridianPresentation, reps: Sequence[MetaRep]) -> Obs
 
     Each verdict is the exact :func:`k1_invariant` verdict renamed ("yes" ->
     "invertible", "no" -> "not-invertible"), taken the same way from det
-    Upsilon of the relation matrix alone, built at :data:`UPSILON_WINDOW`
-    since det Upsilon does not depend on the window: no elimination, no
-    logarithm.  Any "not-invertible" certifies the knot is not fibered.  All
-    invertible verdicts are merely consistent with fiberedness: the converse
-    would require every representation, so the summary never claims "fibered".
+    Upsilon of the relation matrix alone: no elimination, no logarithm.
+    det Upsilon does not depend on the window, so the matrix is the one
+    :func:`k1_invariant` just built for an equal (p, rep)
+    (:func:`latest_relation_matrix`), else one built at
+    :data:`UPSILON_WINDOW`.  Any "not-invertible" certifies the knot is not
+    fibered.  All invertible verdicts are merely consistent with
+    fiberedness: the converse would require every representation, so the
+    summary never claims "fibered".
     """
-    units = [_det_upsilon(build_fox_matrix(p, rep, UPSILON_WINDOW))[1] for rep in reps]
+    units = [_det_upsilon(latest_relation_matrix(p, rep)
+                          or build_fox_matrix(p, rep, UPSILON_WINDOW))[1] for rep in reps]
     verdicts = tuple("invertible" if u else "not-invertible" for u in units)
     summary = ("non-fibered certified" if "not-invertible" in verdicts
                else "no obstruction found: consistent-with-fibered")

@@ -88,10 +88,14 @@ def smith_normal_form(A: IntMatrix | Sequence[Sequence[int]]) -> SNFResult:
     """Smith normal form with deterministic minimal-pivot selection.
 
     The pivot at each stage is the entry of smallest nonzero absolute value
-    in the remaining block, ties broken row-major.  Every row operation on U
-    is undone by the inverse column operation on U_inv, so U_inv stays the
-    inverse of U.  The factorization and U @ U_inv = I are re-verified
-    exactly before returning.
+    in the remaining block, ties broken row-major.  The scan stops at the
+    first entry of absolute value 1: no entry is smaller and a later one
+    only ties, so the rule picks that entry anyway.  After a pivot of 1
+    every quotient is exact, so the divisibility scan is skipped.  Every
+    row operation on U is undone by the inverse column operation on U_inv,
+    so U_inv stays the inverse of U; column updates skip the rows whose
+    multiplier is zero.  The factorization and U @ U_inv = I are
+    re-verified exactly before returning.
     """
     if not isinstance(A, IntMatrix):
         A = IntMatrix(A)
@@ -119,13 +123,16 @@ def smith_normal_form(A: IntMatrix | Sequence[Sequence[int]]) -> SNFResult:
         D[i] = [a + c * b for a, b in zip(D[i], D[j])]
         U[i] = [a + c * b for a, b in zip(U[i], U[j])]
         for r in U_inv:
-            r[j] -= c * r[i]
+            if r[i]:
+                r[j] -= c * r[i]
 
     def add_col(i, j, c):  # col_i += c * col_j
         for r in D:
-            r[i] += c * r[j]
+            if r[j]:
+                r[i] += c * r[j]
         for r in V:
-            r[i] += c * r[j]
+            if r[j]:
+                r[i] += c * r[j]
 
     def negate_row(i):
         D[i] = [-a for a in D[i]]
@@ -136,12 +143,7 @@ def smith_normal_form(A: IntMatrix | Sequence[Sequence[int]]) -> SNFResult:
     t = 0
     limit = min(m, n)
     while t < limit:
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = D[i][j]
-                if v and (best is None or abs(v) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
+        best = _least_entry(D, t)
         if best is None:
             break
         swap_rows(t, best[0])
@@ -155,13 +157,14 @@ def smith_normal_form(A: IntMatrix | Sequence[Sequence[int]]) -> SNFResult:
         for j in range(t + 1, n):
             if D[t][j]:
                 add_col(j, t, -(D[t][j] // piv))
-        if any(D[i][t] for i in range(t + 1, m)) or any(D[t][j] for j in range(t + 1, n)):
-            continue  # remainders got strictly smaller; re-pick pivot
-        bad = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
-                    if D[i][j] % piv), None)
-        if bad is not None:
-            add_row(t, bad[0], 1)  # pull the offending row up, then redo
-            continue
+        if piv != 1:
+            if any(D[i][t] for i in range(t + 1, m)) or any(D[t][j] for j in range(t + 1, n)):
+                continue  # remainders got strictly smaller; re-pick pivot
+            bad = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
+                        if D[i][j] % piv), None)
+            if bad is not None:
+                add_row(t, bad[0], 1)  # pull the offending row up, then redo
+                continue
         t += 1
 
     result = SNFResult(IntMatrix(U), IntMatrix(U_inv), IntMatrix(D), IntMatrix(V))
@@ -169,28 +172,59 @@ def smith_normal_form(A: IntMatrix | Sequence[Sequence[int]]) -> SNFResult:
     return result
 
 
+def _least_entry(D: list[list[int]], t: int) -> tuple[int, int] | None:
+    """Position of the first entry, row-major, of least nonzero absolute
+    value in the block D[t:][t:], or None if the block is zero."""
+    best, least = None, 0
+    for i in range(t, len(D)):
+        row = D[i]
+        for j in range(t, len(row)):
+            v = row[j]
+            if v and (best is None or abs(v) < least):
+                best, least = (i, j), abs(v)
+                if least == 1:
+                    return best
+    return best
+
+
 def _verify_snf(A: IntMatrix, r: SNFResult) -> None:
     """Check that D is a chain of divisors, U U_inv = I and U A V = D.
 
     U is square, so once U U_inv = I holds, U A V = D is A V = U_inv D, and
-    for diagonal D that product only scales U_inv's columns: two dense
-    products in all."""
+    for diagonal D that product only scales U_inv's columns: two exact
+    products in all, each summed over nonzero entries only
+    (:func:`_sparse_product`)."""
     ds = r.divisors
-    for i in range(r.D.nrows):
-        for j in range(r.D.ncols):
-            if i != j and r.D[i, j]:
-                raise SNFError("D is not diagonal")
+    for i, row in enumerate(r.D.rows):
+        if any(row[:i]) or any(row[i + 1:]):
+            raise SNFError("D is not diagonal")
     for a, b in zip(ds, ds[1:]):
         if a == 0 and b != 0:
             raise SNFError("zero divisor precedes nonzero one")
         if a != 0 and b % a != 0:
             raise SNFError(f"divisibility chain broken: {a} then {b}")
-    if r.U @ r.U_inv != IntMatrix.identity(r.U.nrows):
+    if _sparse_product(r.U, r.U_inv) != IntMatrix.identity(r.U.nrows).rows:
         raise SNFError("U_inv is not the inverse of U")
     scaled = [[row[j] * ds[j] if j < len(ds) else 0 for j in range(r.D.ncols)]
               for row in r.U_inv.rows]
-    if (A @ r.V).rows != scaled:
+    if _sparse_product(A, r.V) != scaled:
         raise SNFError("U A V != D")
+
+
+def _sparse_product(A: IntMatrix, B: IntMatrix) -> list[list[int]]:
+    """The rows of A @ B, summed over the nonzero entries of both factors."""
+    if A.ncols != B.nrows:
+        raise ValueError("shape mismatch")
+    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in B.rows]
+    out = []
+    for row in A.rows:
+        acc = [0] * B.ncols
+        for a, brow in zip(row, sparse):
+            if a:
+                for j, y in brow:
+                    acc[j] += a * y
+        out.append(acc)
+    return out
 
 
 def pdivmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:

@@ -45,7 +45,7 @@ from .grouprings import (
     character_images,
     character_orbits,
 )
-from .k1core import UPSILON_WINDOW, NovikovMatrix, build_fox_matrix
+from .k1core import UPSILON_WINDOW, NovikovMatrix, build_fox_matrix, latest_relation_matrix
 from .novikov import NovikovSeries, format_terms
 from .presentation import MeridianPresentation
 
@@ -384,10 +384,10 @@ def det_upsilon(mx: NovikovMatrix, period: int) -> LaurentPolyGA:
     The latest result is remembered, keyed on the exact content of the
     matrix: the group's divisors, kappa's matrix, the period and every
     entry's terms as (degree, den, numerators).  Upsilon reads nothing else
-    (an entry's knowledge window never enters it), so a relation matrix
-    built at precision K and its rebuild at :data:`UPSILON_WINDOW` share one
-    key, and a hit returns the determinant of an equal input: the function
-    stays pure, and memory holds one determinant.
+    (an entry's knowledge window never enters it), so relation matrices
+    built at precision K and at :data:`UPSILON_WINDOW` share one key, and a
+    hit returns the determinant of an equal input: the function stays pure,
+    and memory holds one determinant.
     """
     global _last_det
     key = (mx.kappa.group.divisors, mx.kappa.matrix, period,
@@ -405,12 +405,15 @@ def metafinite_polynomial(p: MeridianPresentation, rep: MetaRep) -> LaurentPolyG
     """Commutative determinant of the untwisted relation matrix.
 
     Computes det of the block image, at period ``rep.cover_n``, of the
-    relation matrix built at :data:`~k1alex.k1core.UPSILON_WINDOW`, and
-    returns its canonical form.  The determinant goes through
-    :func:`det_upsilon`, so right after :func:`~k1alex.k1core.k1_invariant`
-    on the same input with ord kappa = N it is the one that call took.
-    Comparisons should go through :func:`poly_equiv`, since the class is
-    only defined up to unit monomials.
+    relation matrix and returns its canonical form.  Right after
+    :func:`~k1alex.k1core.k1_invariant` on an equal (p, rep) the matrix is
+    the one that call built (:func:`~k1alex.k1core.latest_relation_matrix`:
+    Upsilon reads only the tau^0 and tau^1 terms, so its window does not
+    matter); otherwise one is built at
+    :data:`~k1alex.k1core.UPSILON_WINDOW`.  The determinant goes through
+    :func:`det_upsilon`, so with ord kappa = N it is the one k1_invariant
+    took.  Comparisons should go through :func:`poly_equiv`, since the class
+    is only defined up to unit monomials.
     """
-    matrix = build_fox_matrix(p, rep, UPSILON_WINDOW)
+    matrix = latest_relation_matrix(p, rep) or build_fox_matrix(p, rep, UPSILON_WINDOW)
     return canonical_form(det_upsilon(matrix, rep.cover_n))

@@ -93,6 +93,76 @@ def dict_ga_mul(a: GroupAlgebraElem, b: GroupAlgebraElem) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def dense_snf_oracle(A: list[list[int]], ncols: int = 0) -> tuple[list, list, list, list]:
+    """(U, U_inv, D, V) as row lists, by the dense minimal-pivot loop (a
+    matrix with no rows takes its column count from ``ncols``): a full
+    scan of the remaining block for the least nonzero |entry| (ties
+    row-major), dense row and column updates, and the remainder and
+    divisibility scans at every pivot.  The oracle for
+    ``snf.smith_normal_form``, whose factors must be bit-identical."""
+    m, n = len(A), len(A[0]) if A else ncols
+    D = [list(r) for r in A]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    U_inv = [r[:] for r in U]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        if i != j:
+            D[i], D[j] = D[j], D[i]
+            U[i], U[j] = U[j], U[i]
+            for r in U_inv:
+                r[i], r[j] = r[j], r[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for r in D + V:
+                r[i], r[j] = r[j], r[i]
+
+    def add_row(i, j, c):  # row_i += c * row_j; on U_inv, col_j -= c * col_i
+        D[i] = [a + c * b for a, b in zip(D[i], D[j])]
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        for r in U_inv:
+            r[j] -= c * r[i]
+
+    def add_col(i, j, c):  # col_i += c * col_j
+        for r in D + V:
+            r[i] += c * r[j]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = D[i][j]
+                if v and (best is None or abs(v) < abs(D[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        if D[t][t] < 0:
+            D[t] = [-a for a in D[t]]
+            U[t] = [-a for a in U[t]]
+            for r in U_inv:
+                r[t] = -r[t]
+        piv = D[t][t]
+        for i in range(t + 1, m):
+            if D[i][t]:
+                add_row(i, t, -(D[i][t] // piv))
+        for j in range(t + 1, n):
+            if D[t][j]:
+                add_col(j, t, -(D[t][j] // piv))
+        if any(D[i][t] for i in range(t + 1, m)) or any(D[t][j] for j in range(t + 1, n)):
+            continue
+        bad = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
+                    if D[i][j] % piv), None)
+        if bad is not None:
+            add_row(t, bad[0], 1)
+            continue
+        t += 1
+    return U, U_inv, D, V
+
+
 def fraction_divmod_poly(a, b) -> tuple[list, list]:
     """Quotient and remainder over Q, coefficients constant term first; the
     remainder carries no trailing zeros.  The oracle for ``snf.pdivmod``."""

@@ -22,7 +22,7 @@ from k1alex.grouprings import GroupAut
 from k1alex.presentation import NielsenMove
 from k1alex.snf import SNFError, _verify_snf
 
-from helpers import STABILIZED_5_2
+from helpers import STABILIZED_4_1, STABILIZED_5_2, dense_snf_oracle
 
 
 def divisors_of(mat):
@@ -136,6 +136,40 @@ def test_intmatrix_matmul_matches_triple_loop():
         with pytest.raises(ValueError):
             IntMatrix(A, k) @ (IntMatrix(A, k) if m != k
                                else IntMatrix([row + [0] for row in A] + [[0] * (k + 1)]))
+
+
+def _assert_snf_matches_oracle(A: IntMatrix):
+    r = smith_normal_form(A)
+    assert (r.U.rows, r.U_inv.rows, r.D.rows, r.V.rows) == dense_snf_oracle(A.rows, A.ncols)
+
+
+def test_snf_matches_the_dense_oracle():
+    """U, U_inv, D and V equal the dense minimal-pivot loop's, entry for
+    entry: on empty and all-zero shapes, on seeded matrices with free rank,
+    with no unit entry (non-unit and negative pivots, divisibility repairs)
+    or with many, and on the cover matrix of every benchmark job."""
+    for A in (IntMatrix([], 3), IntMatrix([[], []]), IntMatrix([]), IntMatrix([[0] * 3] * 2),
+              IntMatrix([[-6, 4], [10, -8]]), IntMatrix([[4, 0], [0, 6]])):
+        _assert_snf_matches_oracle(A)
+    rng = random.Random(19)
+    values = {"small": range(-3, 4), "no units": (0, 0, 2, -2, 3, -3, 4, -6, 9),
+              "wide": range(-40, 41)}
+    for _ in range(300):
+        kind = rng.choice(sorted(values))
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice(values[kind]) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:  # a repeated row leaves free rank
+            rows[-1] = rows[0][:]
+        _assert_snf_matches_oracle(IntMatrix(rows))
+    stabilized = {"s4_1": parse_presentation(STABILIZED_4_1),
+                  "s5_2": parse_presentation(STABILIZED_5_2)}
+    jobs = [("4_1", 5), ("5_2", 4), ("3_1", 6), ("4_1", 2), ("5_2", 2),  # log
+            ("s4_1", 3), ("s4_1", 4), ("s5_2", 3), ("s5_2", 4),  # elim_g2
+            ("3_1", 9), ("5_2", 6), ("4_1", 7), ("s5_2", 6),  # untwist
+            ("4_1", 10)]
+    for name, n in jobs:
+        p = stabilized[name] if name in stabilized else builtin(name)
+        _assert_snf_matches_oracle(alexander_presentation(p, n).transpose())
 
 
 def test_snf_check_catches_a_corrupted_factor():

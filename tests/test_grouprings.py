@@ -436,6 +436,30 @@ def test_aut_table_matches_iterated_apply_once():
                     assert table[e] == image
 
 
+def test_aut_equality_of_one_object_applies_no_map(monkeypatch):
+    """kappa == kappa returns at once; distinct automorphisms are still
+    compared as maps, so equal maps from other matrices compare equal and
+    different maps unequal."""
+    H, kappa = z4sq_order3()
+    calls = [0]
+    once = GroupAut._apply_once
+
+    def counting(self, e):
+        calls[0] += 1
+        return once(self, e)
+
+    monkeypatch.setattr(GroupAut, "_apply_once", counting)
+    assert kappa == kappa and not kappa != kappa
+    assert calls[0] == 0
+    assert kappa == GroupAut(H, kappa.matrix)
+    assert kappa == GroupAut(H, [[6, -1], [-1, 5]])  # the same map mod 4
+    assert kappa != GroupAut.identity(H)
+    assert calls[0] > 0
+    H5, negation = z5_negation()
+    assert negation == GroupAut(H5, [[4]]) and negation != GroupAut.identity(H5)
+    assert negation != kappa
+
+
 def test_aut_rejects_non_bijective():
     H = FiniteAbelianGroup([4])
     with pytest.raises(GroupError):
@@ -709,6 +733,29 @@ def test_orbit_reps_are_orbit_minima():
             oc = orbit_project(a, kappa)
             assert oc.coeffs == {e: c for e, c in walked.items() if c}
             assert str(oc) == str(OrbitClass(H, kappa, walked))
+
+
+def test_orbit_project_on_integers_matches_the_fraction_route():
+    """Numerators summed per orbit and divided once give the OrbitClass of
+    the Fraction coefficients, with or without a divisor, under the
+    identity and a nontrivial kappa; a kappa on another group raises."""
+    rng = random.Random(27)
+    H5, negation = z5_negation()
+    H, order3 = z4sq_order3()
+    cases = [(H5, negation), (H5, GroupAut.identity(H5)), (H, order3), (H, GroupAut.identity(H))]
+    seen_den = False
+    for group, kappa in cases:
+        for _ in range(40):
+            a = rand_ga(rng, group, max_terms=8, denominators=True)
+            seen_den |= a.den > 1
+            assert orbit_project(a, kappa) == OrbitClass(group, kappa, a.coeffs)
+            d = rng.randint(1, 12)
+            projected = orbit_project(a, kappa, d)
+            expected = OrbitClass(group, kappa, a.scale(Fraction(1, d)).coeffs)
+            assert projected == expected and str(projected) == str(expected)
+    assert seen_den
+    with pytest.raises(GroupError):
+        orbit_project(GroupAlgebraElem.one(H), negation)
 
 
 def test_orbit_class_equality_and_sum():

@@ -30,6 +30,7 @@ from k1alex import (
     witt_normalize,
 )
 from k1alex.grouprings import MetaRep
+from k1alex.presentation import NielsenMove, apply_nielsen, transport_rep
 from k1alex.words import gen
 
 from helpers import (
@@ -154,9 +155,12 @@ def test_delta_is_shifted_pivot_product():
 
 
 def _feed_matrix(monkeypatch, mx):
-    """Make k1_invariant and fibered_obstruction see ``mx`` for any input."""
+    """Make k1_invariant and fibered_obstruction see ``mx`` for any input;
+    the memo of the latest relation matrix is restored after the test, so
+    ``mx`` never reaches a later one."""
     import k1alex.k1core as k1core
     monkeypatch.setattr(k1core, "build_fox_matrix", lambda p, rep, precision: mx)
+    monkeypatch.setattr(k1core, "_last_matrix", (None, None, None))
     p = builtin("3_1")
     return p, trivial_rep(p)
 
@@ -319,6 +323,94 @@ def test_fibered_obstruction_runs_no_elimination_or_log(monkeypatch):
         p = builtin(knot)
         res = fibered_obstruction(p, [metabelian_rep(p, n) for n in (2, 3, 4)])
         assert res.verdicts == ("invertible",) * 3
+
+
+def _count_builds(monkeypatch):
+    """Record the precision of every relation matrix k1core or upsilon
+    builds, from empty relation-matrix and det Upsilon memos."""
+    import k1alex.k1core as k1core
+    import k1alex.upsilon as upsilon
+    monkeypatch.setattr(k1core, "_last_matrix", (None, None, None))
+    monkeypatch.setattr(upsilon, "_last_det", (None, None))
+    builds = []
+
+    def counting(p, rep, precision):
+        builds.append(precision)
+        return build_fox_matrix(p, rep, precision)
+
+    monkeypatch.setattr(k1core, "build_fox_matrix", counting)
+    monkeypatch.setattr(upsilon, "build_fox_matrix", counting)
+    return builds
+
+
+def _cold_polynomial(p, rep):
+    return canonical_form(det_commutative(upsilon_matrix(build_fox_matrix(p, rep, 4),
+                                                         rep.cover_n)))
+
+
+def test_compute_builds_one_relation_matrix(monkeypatch):
+    """k1_invariant then metafinite_polynomial on 4_1 N=5 build the relation
+    matrix once, at the invariant's precision, and an equal but distinct
+    rep is still a hit; the polynomial is the one a window-4 matrix gives."""
+    builds = _count_builds(monkeypatch)
+    p = builtin("4_1")
+    rep = metabelian_rep(p, 5)
+    k1_invariant(p, rep, 16)
+    assert metafinite_polynomial(p, rep) == _cold_polynomial(p, rep)
+    assert metafinite_polynomial(p, metabelian_rep(p, 5)) == _cold_polynomial(p, rep)
+    assert builds == [16]
+
+
+def test_shared_matrix_serves_both_periods(monkeypatch):
+    """On 3_1 N=9 (ord kappa = 3) the one matrix gives det Upsilon at
+    period 3 for the invariant and at period 9 for the polynomial."""
+    import k1alex.upsilon as upsilon
+    builds = _count_builds(monkeypatch)
+    periods = []
+
+    def counting(U):
+        periods.append(U.period)
+        return det_commutative(U)
+
+    monkeypatch.setattr(upsilon, "det_commutative", counting)
+    p = builtin("3_1")
+    rep = metabelian_rep(p, 9)
+    assert rep.kappa.order == 3
+    assert k1_invariant(p, rep, 12).invertible == "yes"
+    assert metafinite_polynomial(p, rep) == _cold_polynomial(p, rep)
+    assert (builds, periods) == ([12], [3, 9])
+
+
+def test_shared_matrix_is_never_stale(monkeypatch):
+    """After k1_invariant on 5_2 N=3, a Nielsen-moved presentation with its
+    transported rep and the same knot at N=4 each get a fresh matrix and
+    their own polynomial; the original input still hits."""
+    builds = _count_builds(monkeypatch)
+    p = builtin("5_2")
+    rep = metabelian_rep(p, 3)
+    k1_invariant(p, rep, 10)
+    move = NielsenMove("invert", 1)
+    moved, moved_rep = apply_nielsen(p, move), transport_rep(rep, move)
+    assert moved != p and moved_rep != rep
+    for q, r in ((moved, moved_rep), (p, metabelian_rep(p, 4)), (p, rep)):
+        assert metafinite_polynomial(q, r) == _cold_polynomial(q, r)
+    assert builds == [10, 4, 4]
+
+
+def test_fibered_obstruction_after_k1_invariant(monkeypatch):
+    """fibered_obstruction reuses the matrix k1_invariant built for an
+    equal rep, builds the others at the window, and gives the verdicts of a
+    run from empty memos."""
+    for knot in ("4_1", "5_2"):
+        p = builtin(knot)
+        reps = [metabelian_rep(p, n) for n in (2, 3, 4)]
+        builds = _count_builds(monkeypatch)
+        cold = fibered_obstruction(p, reps)
+        assert builds == [4, 4, 4]
+        k1_invariant(p, reps[1], 10)
+        assert fibered_obstruction(p, reps) == cold
+        assert builds == [4, 4, 4, 10, 4, 4]
+        monkeypatch.undo()
 
 
 def _count_det_calls(monkeypatch):
