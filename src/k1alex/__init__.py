@@ -25,6 +25,7 @@ from .grouprings import (
     OrbitClass,
     gr_inverse,
     gr_is_unit,
+    orbit_project,
 )
 from .k1core import (
     K1Report,
@@ -44,7 +45,6 @@ from .novikov import (
     WittVector,
     ns_invert,
     ns_log,
-    orbit_project,
     witt_normalize,
 )
 from .presentation import (

@@ -6,7 +6,7 @@ divisibility chain d_1 | d_2 | ... | d_r; elements are exponent tuples.  A
 divisors.  A :class:`GroupAlgebraElem` is an element of Q[H], stored as
 integer numerators on group elements over one positive denominator, in
 lowest terms; all of its arithmetic runs on these integers, and ``coeffs``
-is a ``Fraction`` view for printing, keys and comparisons.
+is a ``Fraction`` view for printing and projections.
 
 A product in Q[H] takes one of two exact routes, whichever a measured cost
 model (:meth:`GroupAlgebraElem.__mul__`) finds cheaper.  The schoolbook
@@ -547,12 +547,14 @@ class OrbitClass:
 
     Coefficients are accumulated over kappa-orbits and stored on the
     lexicographically least member of each orbit, giving a canonical form.
+    Each orbit's sum is divided by ``den``, so integer numerators summed on
+    ints make one Fraction per orbit.
     """
 
     __slots__ = ("group", "kappa", "coeffs")
 
     def __init__(self, group: FiniteAbelianGroup, kappa: GroupAut,
-                 coeffs: Mapping[Element, Fraction | int]):
+                 coeffs: Mapping[Element, Fraction | int], den: int = 1):
         if kappa.group != group:
             raise GroupError("automorphism acts on a different group")
         self.group = group
@@ -562,7 +564,7 @@ class OrbitClass:
         for e, c in coeffs.items():
             rep = reps[group.normalize(e)]
             out[rep] = out[rep] + c if rep in out else c
-        self.coeffs = {e: Fraction(c) for e, c in out.items() if c}
+        self.coeffs = {e: Fraction(c, den) for e, c in out.items() if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -589,6 +591,12 @@ class OrbitClass:
             f"{c}*[{self.group.element_str(e)}]" for e, c in sorted(self.coeffs.items()))
 
     __repr__ = __str__
+
+
+def orbit_project(a: GroupAlgebraElem, kappa: GroupAut, divisor: int = 1) -> OrbitClass:
+    """Project a / divisor (an int > 0) onto the kappa-coinvariants
+    A / {a - kappa(a)}, summing a's integer numerators per orbit."""
+    return OrbitClass(a.group, kappa, a.nums, a.den * divisor)
 
 
 @dataclass(frozen=True)

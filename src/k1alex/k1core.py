@@ -255,6 +255,9 @@ def latest_relation_matrix(p: MeridianPresentation, rep: MetaRep) -> NovikovMatr
     window holds whole, so a matrix built at precision K serves det Upsilon
     as one built at :data:`UPSILON_WINDOW` would.  Only the latest matrix is
     held, and it matches by value, so a hit comes from an equal input.
+    This memo saves building the matrix; :func:`~k1alex.upsilon.det_upsilon`
+    keeps its own, keyed on the matrix's content, which saves the
+    determinant for any equal matrix, however it was obtained.
     """
     last_p, last_rep, mx = _last_matrix
     return mx if last_p == p and last_rep == rep else None
@@ -304,17 +307,13 @@ def fibered_obstruction(p: MeridianPresentation, reps: Sequence[MetaRep]) -> Obs
 
     Each verdict is the exact :func:`k1_invariant` verdict renamed ("yes" ->
     "invertible", "no" -> "not-invertible"), taken the same way from det
-    Upsilon of the relation matrix alone: no elimination, no logarithm.
-    det Upsilon does not depend on the window, so the matrix is the one
-    :func:`k1_invariant` just built for an equal (p, rep)
-    (:func:`latest_relation_matrix`), else one built at
-    :data:`UPSILON_WINDOW`.  Any "not-invertible" certifies the knot is not
-    fibered.  All invertible verdicts are merely consistent with
-    fiberedness: the converse would require every representation, so the
-    summary never claims "fibered".
+    Upsilon of the relation matrix alone, built at :data:`UPSILON_WINDOW`
+    since det Upsilon does not depend on the window: no elimination, no
+    logarithm.  Any "not-invertible" certifies the knot is not fibered.  All
+    invertible verdicts are merely consistent with fiberedness: the converse
+    would require every representation, so the summary never claims "fibered".
     """
-    units = [_det_upsilon(latest_relation_matrix(p, rep)
-                          or build_fox_matrix(p, rep, UPSILON_WINDOW))[1] for rep in reps]
+    units = [_det_upsilon(build_fox_matrix(p, rep, UPSILON_WINDOW))[1] for rep in reps]
     verdicts = tuple("invertible" if u else "not-invertible" for u in units)
     summary = ("non-fibered certified" if "not-invertible" in verdicts
                else "no obstruction found: consistent-with-fibered")

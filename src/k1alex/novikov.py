@@ -20,23 +20,21 @@ motivating examples.  Witt vectors are the units 1 + a_1 tau + a_2 tau^2 +
 
 whose tau^k coefficients, projected to the coinvariants A/{a - kappa(a)},
 are the computable invariants extracted downstream.  :func:`ns_log` reads
-them off the commutative determinant of w, since log det = tr log, and
-:func:`orbit_project` projects on the integer numerators.
+them off the commutative determinant of w, since log det = tr log.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .grouprings import (
-    Element,
     FiniteAbelianGroup,
     GroupAut,
     GroupAlgebraElem,
     GroupError,
     OrbitClass,
     gr_inverse,
+    orbit_project,
 )
 
 DEFAULT_PRECISION = 24
@@ -286,24 +284,6 @@ class LogClass:
     def __repr__(self) -> str:
         return "LogClass(" + ", ".join(
             f"{k}: {v}" for k, v in sorted(self.entries.items())) + ")"
-
-
-def orbit_project(a: GroupAlgebraElem, kappa: GroupAut, divisor: int = 1) -> OrbitClass:
-    """Project a / divisor (an int > 0) onto the kappa-coinvariants
-    A / {a - kappa(a)}: the numerators are summed per orbit on ints, and
-    each nonzero sum becomes one Fraction over a.den * divisor."""
-    if kappa.group != a.group:
-        raise GroupError("automorphism acts on a different group")
-    reps = kappa._orbit_reps()
-    sums: dict[Element, int] = {}
-    for e, n in a.nums.items():
-        rep = reps[e]
-        sums[rep] = sums.get(rep, 0) + n
-    den = a.den * divisor
-    out = OrbitClass.__new__(OrbitClass)
-    out.group, out.kappa = a.group, kappa
-    out.coeffs = {e: Fraction(n, den) for e, n in sums.items() if n}
-    return out
 
 
 def ns_log(terms: Mapping[int, GroupAlgebraElem], kappa: GroupAut,

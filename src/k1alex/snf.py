@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, zip_longest
 from math import gcd, prod
-from operator import mul
 from typing import Mapping, Sequence
 
 
@@ -49,11 +48,19 @@ class IntMatrix:
         return self.rows[ij[0]][ij[1]]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """The exact product, summed over the nonzero entries of both factors."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows)) or [()] * other.ncols
-        return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in self.rows],
-                         other.ncols)
+        sparse = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [0] * other.ncols
+            for a, brow in zip(row, sparse):
+                if a:
+                    for j, y in brow:
+                        acc[j] += a * y
+            out.append(acc)
+        return IntMatrix(out, other.ncols)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix([[self.rows[i][j] for i in range(self.nrows)]
@@ -167,7 +174,7 @@ def smith_normal_form(A: IntMatrix | Sequence[Sequence[int]]) -> SNFResult:
                 continue
         t += 1
 
-    result = SNFResult(IntMatrix(U), IntMatrix(U_inv), IntMatrix(D), IntMatrix(V))
+    result = SNFResult(IntMatrix(U), IntMatrix(U_inv), IntMatrix(D, n), IntMatrix(V))
     _verify_snf(A, result)
     return result
 
@@ -192,8 +199,7 @@ def _verify_snf(A: IntMatrix, r: SNFResult) -> None:
 
     U is square, so once U U_inv = I holds, U A V = D is A V = U_inv D, and
     for diagonal D that product only scales U_inv's columns: two exact
-    products in all, each summed over nonzero entries only
-    (:func:`_sparse_product`)."""
+    products in all, each summed over nonzero entries only."""
     ds = r.divisors
     for i, row in enumerate(r.D.rows):
         if any(row[:i]) or any(row[i + 1:]):
@@ -203,28 +209,12 @@ def _verify_snf(A: IntMatrix, r: SNFResult) -> None:
             raise SNFError("zero divisor precedes nonzero one")
         if a != 0 and b % a != 0:
             raise SNFError(f"divisibility chain broken: {a} then {b}")
-    if _sparse_product(r.U, r.U_inv) != IntMatrix.identity(r.U.nrows).rows:
+    if r.U @ r.U_inv != IntMatrix.identity(r.U.nrows):
         raise SNFError("U_inv is not the inverse of U")
     scaled = [[row[j] * ds[j] if j < len(ds) else 0 for j in range(r.D.ncols)]
               for row in r.U_inv.rows]
-    if _sparse_product(A, r.V) != scaled:
+    if (A @ r.V).rows != scaled:
         raise SNFError("U A V != D")
-
-
-def _sparse_product(A: IntMatrix, B: IntMatrix) -> list[list[int]]:
-    """The rows of A @ B, summed over the nonzero entries of both factors."""
-    if A.ncols != B.nrows:
-        raise ValueError("shape mismatch")
-    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in B.rows]
-    out = []
-    for row in A.rows:
-        acc = [0] * B.ncols
-        for a, brow in zip(row, sparse):
-            if a:
-                for j, y in brow:
-                    acc[j] += a * y
-        out.append(acc)
-    return out
 
 
 def pdivmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:

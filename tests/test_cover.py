@@ -141,6 +141,7 @@ def test_intmatrix_matmul_matches_triple_loop():
 def _assert_snf_matches_oracle(A: IntMatrix):
     r = smith_normal_form(A)
     assert (r.U.rows, r.U_inv.rows, r.D.rows, r.V.rows) == dense_snf_oracle(A.rows, A.ncols)
+    assert (r.D.nrows, r.D.ncols, r.V.ncols) == (A.nrows, A.ncols, A.ncols)
 
 
 def test_snf_matches_the_dense_oracle():

@@ -397,22 +397,6 @@ def test_shared_matrix_is_never_stale(monkeypatch):
     assert builds == [10, 4, 4]
 
 
-def test_fibered_obstruction_after_k1_invariant(monkeypatch):
-    """fibered_obstruction reuses the matrix k1_invariant built for an
-    equal rep, builds the others at the window, and gives the verdicts of a
-    run from empty memos."""
-    for knot in ("4_1", "5_2"):
-        p = builtin(knot)
-        reps = [metabelian_rep(p, n) for n in (2, 3, 4)]
-        builds = _count_builds(monkeypatch)
-        cold = fibered_obstruction(p, reps)
-        assert builds == [4, 4, 4]
-        k1_invariant(p, reps[1], 10)
-        assert fibered_obstruction(p, reps) == cold
-        assert builds == [4, 4, 4, 10, 4, 4]
-        monkeypatch.undo()
-
-
 def _count_det_calls(monkeypatch):
     """Record every argument upsilon.det_commutative is called with, from an
     empty det_upsilon memo."""
