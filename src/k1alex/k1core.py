@@ -244,23 +244,22 @@ def _det_upsilon(mx: NovikovMatrix):
     return det, upsilon.is_unit_laurent(det)
 
 
-_last_matrix: tuple = (None, None, None)  # (p, rep, matrix) of the latest k1_invariant
+_latest: tuple = (None, None, None, None)  # (p, rep, matrix, det) of the latest k1_invariant
 
 
-def latest_relation_matrix(p: MeridianPresentation, rep: MetaRep) -> NovikovMatrix | None:
-    """The relation matrix the latest :func:`k1_invariant` built, if that
-    call's presentation and rep equal ``p`` and ``rep``; else None.
+def latest_relation(p: MeridianPresentation, rep: MetaRep) -> tuple | None:
+    """(matrix, det) of the latest :func:`k1_invariant`, if that call's
+    presentation and rep equal ``p`` and ``rep``; else None.
 
-    det Upsilon reads only each entry's tau^0 and tau^1 terms, which every
-    window holds whole, so a matrix built at precision K serves det Upsilon
-    as one built at :data:`UPSILON_WINDOW` would.  Only the latest matrix is
-    held, and it matches by value, so a hit comes from an equal input.
-    This memo saves building the matrix; :func:`~k1alex.upsilon.det_upsilon`
-    keeps its own, keyed on the matrix's content, which saves the
-    determinant for any equal matrix, however it was obtained.
+    ``matrix`` is the relation matrix that call built and ``det`` its
+    det Upsilon at period ord kappa.  det Upsilon reads only each entry's
+    tau^0 and tau^1 terms, which every window holds whole, so a matrix built
+    at precision K serves det Upsilon as one built at
+    :data:`UPSILON_WINDOW` would.  Only the latest job is held, and it
+    matches by value, so a hit comes from an equal input.
     """
-    last_p, last_rep, mx = _last_matrix
-    return mx if last_p == p and last_rep == rep else None
+    last_p, last_rep, mx, det = _latest
+    return (mx, det) if last_p == p and last_rep == rep else None
 
 
 def k1_invariant(p: MeridianPresentation, rep: MetaRep,
@@ -274,13 +273,14 @@ def k1_invariant(p: MeridianPresentation, rep: MetaRep,
     Upsilon embeds it injectively into M_nN(Q[H]((t))), so M is invertible
     iff P is a unit (:func:`is_unit_laurent`).  When elimination completes,
     the logs are read off P (:func:`ns_log`); when it stalls, delta, the
-    Witt part and the logs stay None.
+    Witt part and the logs stay None.  The matrix and P are kept for
+    :func:`latest_relation`.
     """
-    global _last_matrix
+    global _latest
     mx = build_fox_matrix(p, rep, precision)
-    _last_matrix = p, rep, mx
     report = eliminate(mx)
     det, unit = _det_upsilon(mx)
+    _latest = p, rep, mx, det
     report.invertible = "yes" if unit else "no"
     if report.delta is not None:
         lo = det.min_degree()

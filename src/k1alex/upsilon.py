@@ -25,10 +25,12 @@ The width then stays bounded in N.  The expansion runs on plain
 {degree: coefficient} maps, and the grid it reads holds each relation
 term's N monomials, with one shared zero polynomial everywhere else.
 
-:func:`det_upsilon`, the one route to det Upsilon, remembers its latest
-result keyed on the exact content of the matrix and the period, so
-``k1alex compute`` takes each determinant once.  Invertibility of a Laurent
-polynomial over Q[H]((t)) is decided exactly on the characters of H.
+:func:`det_upsilon`, the one route to det Upsilon, is a pure function of
+the matrix and the period.  ``k1alex compute`` takes each determinant once:
+:func:`metafinite_polynomial` reads the determinant
+:func:`~k1alex.k1core.k1_invariant` just took from the one memo of the
+latest job, in :mod:`k1alex.k1core`.  Invertibility of a Laurent polynomial
+over Q[H]((t)) is decided exactly on the characters of H.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .grouprings import (
     character_images,
     character_orbits,
 )
-from .k1core import UPSILON_WINDOW, NovikovMatrix, build_fox_matrix, latest_relation_matrix
+from .k1core import UPSILON_WINDOW, NovikovMatrix, build_fox_matrix, latest_relation
 from .novikov import NovikovSeries, format_terms
 from .presentation import MeridianPresentation
 
@@ -375,30 +377,13 @@ def is_unit_laurent(p: LaurentPolyGA) -> bool:
     return False
 
 
-_last_det: tuple = (None, None)  # (key, det) of the latest det_upsilon
-
-
 def det_upsilon(mx: NovikovMatrix, period: int) -> LaurentPolyGA:
     """det Upsilon(mx) at ``period``, the one route to that determinant.
 
-    The latest result is remembered, keyed on the exact content of the
-    matrix: the group's divisors, kappa's matrix, the period and every
-    entry's terms as (degree, den, numerators).  Upsilon reads nothing else
-    (an entry's knowledge window never enters it), so relation matrices
-    built at precision K and at :data:`UPSILON_WINDOW` share one key, and a
-    hit returns the determinant of an equal input: the function stays pure,
-    and memory holds one determinant.
+    Both steps are module globals, looked up per call, so a tracer may
+    rebind them.
     """
-    global _last_det
-    key = (mx.kappa.group.divisors, mx.kappa.matrix, period,
-           tuple(tuple(tuple((d, c.den, frozenset(c.nums.items())) for d, c in e.terms.items())
-                       for e in row) for row in mx.entries))
-    last_key, det = _last_det
-    if last_key != key:
-        # module globals, looked up per call, so a tracer may rebind both
-        det = det_commutative(upsilon_matrix(mx, period))
-        _last_det = key, det
-    return det
+    return det_commutative(upsilon_matrix(mx, period))
 
 
 def metafinite_polynomial(p: MeridianPresentation, rep: MetaRep) -> LaurentPolyGA:
@@ -406,14 +391,16 @@ def metafinite_polynomial(p: MeridianPresentation, rep: MetaRep) -> LaurentPolyG
 
     Computes det of the block image, at period ``rep.cover_n``, of the
     relation matrix and returns its canonical form.  Right after
-    :func:`~k1alex.k1core.k1_invariant` on an equal (p, rep) the matrix is
-    the one that call built (:func:`~k1alex.k1core.latest_relation_matrix`:
-    Upsilon reads only the tau^0 and tau^1 terms, so its window does not
-    matter); otherwise one is built at
-    :data:`~k1alex.k1core.UPSILON_WINDOW`.  The determinant goes through
-    :func:`det_upsilon`, so with ord kappa = N it is the one k1_invariant
-    took.  Comparisons should go through :func:`poly_equiv`, since the class
-    is only defined up to unit monomials.
+    :func:`~k1alex.k1core.k1_invariant` on an equal (p, rep), the matrix and
+    its det Upsilon at ord kappa are the ones that call took
+    (:func:`~k1alex.k1core.latest_relation`): with ord kappa = N that
+    determinant is the answer, and at any other period the recorded matrix
+    is untwisted again (Upsilon reads only the tau^0 and tau^1 terms, so the
+    matrix's window does not matter).  Otherwise a matrix is built at
+    :data:`~k1alex.k1core.UPSILON_WINDOW`.  Comparisons should go through
+    :func:`poly_equiv`, since the class is only defined up to unit monomials.
     """
-    matrix = latest_relation_matrix(p, rep) or build_fox_matrix(p, rep, UPSILON_WINDOW)
-    return canonical_form(det_upsilon(matrix, rep.cover_n))
+    matrix, det = latest_relation(p, rep) or (build_fox_matrix(p, rep, UPSILON_WINDOW), None)
+    if det is None or rep.cover_n != matrix.kappa.order:
+        det = det_upsilon(matrix, rep.cover_n)
+    return canonical_form(det)

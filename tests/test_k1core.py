@@ -156,11 +156,11 @@ def test_delta_is_shifted_pivot_product():
 
 def _feed_matrix(monkeypatch, mx):
     """Make k1_invariant and fibered_obstruction see ``mx`` for any input;
-    the memo of the latest relation matrix is restored after the test, so
-    ``mx`` never reaches a later one."""
+    the memo of the latest job is restored after the test, so ``mx`` never
+    reaches a later one."""
     import k1alex.k1core as k1core
     monkeypatch.setattr(k1core, "build_fox_matrix", lambda p, rep, precision: mx)
-    monkeypatch.setattr(k1core, "_last_matrix", (None, None, None))
+    monkeypatch.setattr(k1core, "_latest", (None, None, None, None))
     p = builtin("3_1")
     return p, trivial_rep(p)
 
@@ -327,11 +327,10 @@ def test_fibered_obstruction_runs_no_elimination_or_log(monkeypatch):
 
 def _count_builds(monkeypatch):
     """Record the precision of every relation matrix k1core or upsilon
-    builds, from empty relation-matrix and det Upsilon memos."""
+    builds, from an empty memo of the latest job."""
     import k1alex.k1core as k1core
     import k1alex.upsilon as upsilon
-    monkeypatch.setattr(k1core, "_last_matrix", (None, None, None))
-    monkeypatch.setattr(upsilon, "_last_det", (None, None))
+    monkeypatch.setattr(k1core, "_latest", (None, None, None, None))
     builds = []
 
     def counting(p, rep, precision):
@@ -384,7 +383,9 @@ def test_shared_matrix_serves_both_periods(monkeypatch):
 def test_shared_matrix_is_never_stale(monkeypatch):
     """After k1_invariant on 5_2 N=3, a Nielsen-moved presentation with its
     transported rep and the same knot at N=4 each get a fresh matrix and
-    their own polynomial; the original input still hits."""
+    their own polynomial; the original input still hits.  Only the latest
+    job is held: after k1_invariant on the moved input, the original one
+    misses, builds at window 4 and still gets its own polynomial."""
     builds = _count_builds(monkeypatch)
     p = builtin("5_2")
     rep = metabelian_rep(p, 3)
@@ -395,14 +396,18 @@ def test_shared_matrix_is_never_stale(monkeypatch):
     for q, r in ((moved, moved_rep), (p, metabelian_rep(p, 4)), (p, rep)):
         assert metafinite_polynomial(q, r) == _cold_polynomial(q, r)
     assert builds == [10, 4, 4]
+    k1_invariant(moved, moved_rep, 10)
+    assert metafinite_polynomial(p, rep) == _cold_polynomial(p, rep)
+    assert builds == [10, 4, 4, 10, 4]
 
 
 def _count_det_calls(monkeypatch):
     """Record every argument upsilon.det_commutative is called with, from an
-    empty det_upsilon memo."""
+    empty memo of the latest job."""
+    import k1alex.k1core as k1core
     import k1alex.upsilon as upsilon
     calls = []
-    monkeypatch.setattr(upsilon, "_last_det", (None, None))
+    monkeypatch.setattr(k1core, "_latest", (None, None, None, None))
     det = upsilon.det_commutative
 
     def counting(U):
@@ -449,8 +454,8 @@ def test_fibered_obstruction_certifies_once(monkeypatch):
 
 def test_yes_verdict_computes_det_once(monkeypatch):
     """A "yes" matrix takes its logs from det Upsilon: one determinant per
-    k1_invariant call, at period ord kappa.  fibered_obstruction's first
-    matrix is the one k1_invariant just took, so only the N=3 one is new."""
+    k1_invariant call, at period ord kappa.  fibered_obstruction builds its
+    own matrices and takes one determinant per rep."""
     p = builtin("4_1")
     rep = metabelian_rep(p, 2)
     calls = _count_det_calls(monkeypatch)
@@ -460,7 +465,7 @@ def test_yes_verdict_computes_det_once(monkeypatch):
     assert calls[0].period == rep.kappa.order
     res = fibered_obstruction(p, [rep, metabelian_rep(p, 3)])
     assert res.verdicts == ("invertible", "invertible")
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("name,n,periods", [("4_1", 5, [5]), ("3_1", 9, [3, 9])])

@@ -357,11 +357,11 @@ def test_upsilon_matrix_equals_block_by_block_construction(name, n):
         assert U.entries == big
 
 
-def test_det_upsilon_memo_never_serves_a_stale_result(monkeypatch):
-    """Equal entries under another kappa, the same matrix at another period,
-    or entries with the same numerators over another denominator get their
-    own determinant; equal content at another window is a hit."""
-    monkeypatch.setattr(upsilon, "_last_det", (None, None))
+def test_det_upsilon_is_pure(monkeypatch):
+    """det_upsilon takes one determinant per call and depends only on the
+    content: equal entries under another kappa, the same matrix at another
+    period, or entries with the same numerators over another denominator
+    give another determinant; equal content at another window does not."""
     calls = []
     det = upsilon.det_commutative
 
@@ -391,8 +391,8 @@ def test_det_upsilon_memo_never_serves_a_stale_result(monkeypatch):
         got = upsilon.det_upsilon(matrix(kappa, top, scale), N)
         assert got == det(upsilon_matrix(matrix(kappa, 4, scale), N))
         results.add(str(got))
-    assert len(results) == 4  # the four keys have different determinants
-    assert calls == [2, 2, 2, 4, 2, 2]
+    assert len(results) == 4  # four distinct contents, four determinants
+    assert calls == [2, 2, 2, 2, 4, 2, 2]
 
 
 def test_trefoil_sixfold_determinant():
