@@ -493,9 +493,19 @@ def _character_index(divisors: Sequence[int], u: Element, m: int) -> list[int]:
 
 
 def gr_is_unit(a: GroupAlgebraElem) -> bool:
-    """Unit test in Q[H]: chi(a) != 0 on every orbit, checked by the cached
-    :func:`gr_inverse`, since a unit pivot candidate's inverse is needed next."""
-    return len(a.nums) == 1 or gr_inverse(a) is not None
+    """Unit test in Q[H]: chi(a) != 0 on every orbit, or the verdict cached
+    by :func:`gr_inverse`.  No inverse is formed, since most pivot candidates
+    never become pivots; a non-unit is cached as None, as gr_inverse would."""
+    if len(a.nums) <= 1:
+        return bool(a.nums)
+    key = (a.group.divisors, frozenset(a.coeffs.items()))
+    if key in _INVERSE_CACHE:
+        return _INVERSE_CACHE[key] is not None
+    if all(character_images(a)):
+        return True
+    if len(_INVERSE_CACHE) < 4096:
+        _INVERSE_CACHE[key] = None
+    return False
 
 
 _INVERSE_CACHE: dict = {}

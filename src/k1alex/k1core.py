@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .grouprings import GroupAlgebraElem, GroupError, MetaRep, gr_inverse, gr_is_unit
+from .grouprings import GroupAlgebraElem, GroupAut, GroupError, MetaRep, gr_inverse, gr_is_unit
 from .novikov import (
     DEFAULT_PRECISION,
     LogClass,
@@ -171,7 +171,8 @@ def eliminate(mx: NovikovMatrix) -> K1Report:
     exact), then row-major position.  Rows below the pivot are cleared by
     elementary operations, which vanish in the abelianized determinant, so
     the ordered pivot product times tau^{-g} represents the class of the
-    matrix.
+    matrix.  Row i's multiplier is one right division,
+    ``ns_invert(pivot, M[i][k])``.
 
     A completed elimination proves the matrix invertible ("yes").  If at some
     stage no entry has a unit leading coefficient -- a Novikov unit over a
@@ -214,15 +215,13 @@ def eliminate(mx: NovikovMatrix) -> K1Report:
         pivot = M[k][k]
         deg, _lead = pivot.leading()
         trace.append(PivotStep(k, bi, bj, deg, len(pivot.support()), deg == 0))
-        if k + 1 < n:
-            pinv = ns_invert(pivot)
-            for i in range(k + 1, n):
-                if M[i][k].is_zero():
-                    continue
-                factor = M[i][k] * pinv
-                # column k is never read again: later stages search i, j > k
-                for j in range(k + 1, n):
-                    M[i][j] = M[i][j] - factor * M[k][j]
+        for i in range(k + 1, n):
+            if M[i][k].is_zero():
+                continue
+            factor = ns_invert(pivot, M[i][k])
+            # column k is never read again: later stages search i, j > k
+            for j in range(k + 1, n):
+                M[i][j] = M[i][j] - factor * M[k][j]
 
     diagonal = [M[k][k] for k in range(n)]
     product = NovikovSeries.one(kappa, precision)
@@ -262,6 +261,26 @@ def latest_relation(p: MeridianPresentation, rep: MetaRep) -> tuple | None:
     return (mx, det) if last_p == p and last_rep == rep else None
 
 
+def _norm_inverse(c0: GroupAlgebraElem, lead: GroupAlgebraElem,
+                  kappa: GroupAut) -> GroupAlgebraElem:
+    """c0^-1 for c0 the lowest coefficient of det Upsilon (period N = ord
+    kappa) of a matrix whose delta leads with the unit ``lead``.  det Upsilon
+    is +-prod det Upsilon(pivot), with lowest coefficients +-N(pivot lead),
+    N(c) = prod_(i<N) kappa^i(c) multiplicative and kappa-invariant: so
+    c0^-1 = +-N(lead^-1), the sign read off exactly; no match raises.
+    """
+    u = gr_inverse(lead)
+    norm, norm_inv = lead, u
+    for i in range(1, kappa.order):
+        norm = norm * lead.apply_aut(kappa, i)
+        norm_inv = norm_inv * u.apply_aut(kappa, i)
+    if norm == c0:
+        return norm_inv
+    if norm == -c0:
+        return -norm_inv
+    raise GroupError("det Upsilon's lowest coefficient is not +-N(lead of delta)")
+
+
 def k1_invariant(p: MeridianPresentation, rep: MetaRep,
                  precision: int = DEFAULT_PRECISION) -> K1Report:
     """Full pipeline: build the relation matrix, eliminate, normalize.
@@ -272,9 +291,9 @@ def k1_invariant(p: MeridianPresentation, rep: MetaRep,
     call: M_n(A_kappa((tau))) is finite-dimensional over Q((tau^N)) and
     Upsilon embeds it injectively into M_nN(Q[H]((t))), so M is invertible
     iff P is a unit (:func:`is_unit_laurent`).  When elimination completes,
-    the logs are read off P (:func:`ns_log`); when it stalls, delta, the
-    Witt part and the logs stay None.  The matrix and P are kept for
-    :func:`latest_relation`.
+    the logs are read off P over its lowest coefficient (:func:`ns_log`,
+    :func:`_norm_inverse`); when it stalls, delta, the Witt part and the
+    logs stay None.  The matrix and P are kept for :func:`latest_relation`.
     """
     global _latest
     mx = build_fox_matrix(p, rep, precision)
@@ -284,7 +303,7 @@ def k1_invariant(p: MeridianPresentation, rep: MetaRep,
     report.invertible = "yes" if unit else "no"
     if report.delta is not None:
         lo = det.min_degree()
-        c0_inv = gr_inverse(det.coefficient(lo))
+        c0_inv = _norm_inverse(det.coefficient(lo), report.unit_part, mx.kappa)
         witt_det = {d - lo: c * c0_inv for d, c in det.terms.items()}
         report.logs = ns_log(witt_det, mx.kappa, report.witt.top)
     return report

@@ -205,33 +205,41 @@ class WittVector(NovikovSeries):
         return cls(s.kappa, s.terms, s.top)
 
 
-def ns_invert(a: NovikovSeries) -> NovikovSeries:
-    """Two-sided inverse to the available precision.
+def ns_invert(p: NovikovSeries, num: NovikovSeries | None = None) -> NovikovSeries:
+    """num * p^-1 by right division, to the available precision; p^-1 when
+    ``num`` is None.
 
-    With a = sum_i c_i tau^(d+i) and u = c_0^-1, the tau^n coefficient of
-    b a = 1 gives b = sum_n b_n tau^(n-d) one coefficient at a time, b_0 =
-    kappa^-d(u) and b_n = -kappa^(n-d)(u) sum_(0<i<=n) b_(n-i) kappa^(n-i-d)(c_i),
-    the sum running over a's stored terms only: O(K * |terms|) products and
-    one :func:`gr_inverse`, on the window [-d, a.top - 2d).  A non-unit
-    leading coefficient raises: such a series may still be invertible in the
+    With p = sum_i c_i tau^(d+i) and u = c_0^-1, solving f p = num degree by
+    degree gives f_j = (num_(j+d) - sum_(i>=1) f_(j-i) kappa^(j-i)(c_i)) *
+    kappa^j(u) from j = num.min_deg - d, on the window of num times p^-1:
+    top = min(num.top - d, p.top - 2d + num.min_deg).  A non-unit leading
+    coefficient raises: such a series may still be invertible in the
     Novikov ring, but not by this route.
     """
-    d, lead = a.leading()
+    d, lead = p.leading()
     u = gr_inverse(lead)
     if u is None:
         raise SeriesError(f"leading coefficient ({lead}) is not a unit")
-    kappa = a.kappa
+    kappa = p.kappa
+    if num is None:
+        rhs, lo, top = {0: GroupAlgebraElem.one(p.group)}, 0, p.top - 2 * d
+    else:
+        p._check(num)
+        rhs, lo = num.terms, num.min_deg
+        top = min(num.top - d, p.top - 2 * d + lo)
     # (i, c_i) for the terms past the lead, highest i first, so that each
-    # sum adds its products in increasing j = n - i
-    tail = [(e - d, c) for e, c in reversed(a.terms.items()) if e > d]
-    b = [u.apply_aut(kappa, -d)]
-    for n in range(1, a.top - d):
-        acc = GroupAlgebraElem.zero(a.group)
+    # sum adds its products in increasing degree j - i
+    tail = [(e - d, c) for e, c in reversed(p.terms.items()) if e > d]
+    zero = GroupAlgebraElem.zero(p.group)
+    f: dict[int, GroupAlgebraElem] = {}
+    for j in range(lo - d, top):
+        acc = rhs.get(j + d, zero)
         for i, c in tail:
-            if i <= n and b[n - i]:
-                acc = acc - b[n - i] * c.apply_aut(kappa, n - i - d)
-        b.append(acc * u.apply_aut(kappa, n - d))
-    return NovikovSeries(kappa, dict(enumerate(b, -d)), a.top - 2 * d)
+            if j - i in f:
+                acc = acc - f[j - i] * c.apply_aut(kappa, j - i)
+        if acc:
+            f[j] = acc * u.apply_aut(kappa, j)
+    return NovikovSeries(kappa, f, top)
 
 
 def witt_normalize(a: NovikovSeries) -> tuple[GroupAlgebraElem, int, WittVector]:

@@ -41,8 +41,15 @@ class IntMatrix:
         self.ncols = len(rows[0]) if rows else ncols
 
     @classmethod
+    def _adopt(cls, rows: list[list[int]], ncols: int) -> "IntMatrix":
+        """Internal constructor: adopts rows no one else holds, unchecked."""
+        out = cls.__new__(cls)
+        out.rows, out.nrows, out.ncols = rows, len(rows), ncols
+        return out
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._adopt([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.rows[ij[0]][ij[1]]
@@ -60,11 +67,11 @@ class IntMatrix:
                     for j, y in brow:
                         acc[j] += a * y
             out.append(acc)
-        return IntMatrix(out, other.ncols)
+        return IntMatrix._adopt(out, other.ncols)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                          for j in range(self.ncols)], self.nrows)
+        return IntMatrix._adopt([[self.rows[i][j] for i in range(self.nrows)]
+                                 for j in range(self.ncols)], self.nrows)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -174,7 +181,8 @@ def smith_normal_form(A: IntMatrix | Sequence[Sequence[int]]) -> SNFResult:
                 continue
         t += 1
 
-    result = SNFResult(IntMatrix(U), IntMatrix(U_inv), IntMatrix(D, n), IntMatrix(V))
+    result = SNFResult(IntMatrix._adopt(U, m), IntMatrix._adopt(U_inv, m),
+                       IntMatrix._adopt(D, n), IntMatrix._adopt(V, n))
     _verify_snf(A, result)
     return result
 

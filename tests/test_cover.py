@@ -138,6 +138,22 @@ def test_intmatrix_matmul_matches_triple_loop():
                                else IntMatrix([row + [0] for row in A] + [[0] * (k + 1)]))
 
 
+def test_intmatrix_constructor_copies_and_checks():
+    """The public constructor copies its rows, so a later change to them
+    leaves the matrix alone, and refuses ragged rows; identity, products,
+    transposes and SNF factors hold rows of their own."""
+    rows = [[1, 2], [3, 4]]
+    M = IntMatrix(rows)
+    rows[0][0] = 9
+    assert M.rows == [[1, 2], [3, 4]]
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix([[1], [2, 3]])
+    r = smith_normal_form(M)
+    held = [M, IntMatrix.identity(2), M @ M, M.transpose(), r.U, r.U_inv, r.D, r.V]
+    ids = [id(row) for X in held for row in X.rows]
+    assert len(set(ids)) == len(ids)
+
+
 def _assert_snf_matches_oracle(A: IntMatrix):
     r = smith_normal_form(A)
     assert (r.U.rows, r.U_inv.rows, r.D.rows, r.V.rows) == dense_snf_oracle(A.rows, A.ncols)

@@ -693,6 +693,40 @@ def test_gr_inverse_agrees_with_rank_oracle():
     assert min(counts.values()) >= 20, counts
 
 
+def test_gr_is_unit_forms_no_inverse(monkeypatch):
+    """On a cold cache gr_is_unit agrees with the rank oracle and, without
+    calling it, with gr_inverse.  A non-unit's verdict is cached as None
+    under gr_inverse's key and is read back from there; a unit and a
+    monomial leave no entry."""
+    rng = random.Random(15)
+    counts = {"unit": 0, "zero divisor": 0}
+
+    def forbidden(_):
+        raise AssertionError("gr_is_unit formed an inverse")
+
+    for divisors in ((2,), (5,), (6,), (2, 2), (4, 4), (3, 9)):
+        H = FiniteAbelianGroup(divisors)
+        one = GroupAlgebraElem.one(H)
+        for _ in range(12):
+            a = rand_ga(rng, H, max_terms=6, denominators=True)
+            if rng.random() < 0.4:
+                a = a * (one - GroupAlgebraElem.of(H, rng.choice(H.generator_basis())))
+            monkeypatch.setattr(grouprings, "_INVERSE_CACHE", {})
+            with monkeypatch.context() as patch:
+                patch.setattr(grouprings, "gr_inverse", forbidden)
+                unit = gr_is_unit(a)
+                assert unit == unit_by_rank(a), a
+                key = (divisors, frozenset(a.coeffs.items()))
+                cached = {} if unit or len(a.nums) < 2 else {key: None}
+                assert grouprings._INVERSE_CACHE == cached
+                patch.setattr(grouprings, "character_images", forbidden)
+                if cached:
+                    assert not gr_is_unit(a)
+            assert unit == (gr_inverse(a) is not None)
+            counts["unit" if unit else "zero divisor"] += 1
+    assert min(counts.values()) >= 20, counts
+
+
 def test_orbit_project_examples():
     H, kappa = z5_negation()
     a = ga(H, {(1,): 2, (4,): 3})

@@ -25,15 +25,18 @@ from k1alex import (
     metabelian_rep,
     metafinite_polynomial,
     ns_invert,
+    parse_presentation,
     trivial_rep,
     upsilon_matrix,
     witt_normalize,
 )
-from k1alex.grouprings import MetaRep
+from k1alex.grouprings import MetaRep, gr_inverse
+from k1alex.k1core import _norm_inverse, latest_relation
 from k1alex.presentation import NielsenMove, apply_nielsen, transport_rep
 from k1alex.words import gen
 
 from helpers import (
+    STABILIZED_5_2,
     oracle_logs,
     rand_ga,
     rand_unit_ga,
@@ -491,3 +494,25 @@ def test_pivot_trace_records_witt_type():
     assert report.witt_pivots_only()
     for step, d in zip(report.pivot_trace, report.diagonal):
         assert step.lead_degree == d.leading()[0]
+
+
+@pytest.mark.parametrize("name,n,sign", [("3_1", 6, -1), ("4_1", 5, 1), ("4_1", 2, 1),
+                                         ("s5_2", 4, -1)])
+def test_det_constant_is_the_norm_of_the_delta_lead(name, n, sign):
+    """The lowest coefficient c0 of det Upsilon is sign * N(lead delta), N
+    the kappa-norm, on both signs: ord kappa 1, 5 and 2 with monomial leads,
+    and 4 with a two-term lead and a 15-term c0 over Z/3 + Z/21.  The
+    inverse k1_invariant takes from the norm equals gr_inverse(c0), the
+    route it replaced, and a c0 that matches neither sign raises."""
+    p = parse_presentation(STABILIZED_5_2) if name == "s5_2" else builtin(name)
+    rep = metabelian_rep(p, n)
+    kappa, lead = rep.kappa, k1_invariant(p, rep, PREC).unit_part
+    _, det = latest_relation(p, rep)
+    c0 = det.coefficient(det.min_degree())
+    norm = GroupAlgebraElem.one(kappa.group)
+    for i in range(kappa.order):
+        norm = norm * lead.apply_aut(kappa, i)
+    assert c0 == norm.scale(sign)
+    assert _norm_inverse(c0, lead, kappa) == gr_inverse(c0)
+    with pytest.raises(GroupError):
+        _norm_inverse(c0.scale(2), lead, kappa)

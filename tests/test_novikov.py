@@ -1,12 +1,15 @@
 """Twisted series arithmetic, inversion, Witt normalization, logarithms."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from k1alex import (
+    FiniteAbelianGroup,
     GroupAlgebraElem,
+    GroupAut,
     LogClass,
     NovikovMatrix,
     NovikovSeries,
@@ -153,6 +156,49 @@ def test_inverse_window_with_non_monomial_leads():
             assert a * inv == one and inv * a == one
             count += 1
     assert count >= 40
+
+
+def test_right_division_matches_numerator_times_inverse():
+    """ns_invert(p, num) has the terms and the top of num * ns_invert(p):
+    monomial and non-monomial leads at negative and positive degrees,
+    numerators leading off degree 0, zero or not, on windows shorter and
+    longer than the pivot's, with denominators, for ord kappa 1 to 4.  The
+    window-relative == cannot see the top, so both fields are compared."""
+    rng = random.Random(25)
+    z5 = FiniteAbelianGroup([5])
+    kappas = (GroupAut.identity(FiniteAbelianGroup([6])), z5_negation()[1],
+              z4sq_order3()[1], GroupAut(z5, [[2]]))
+    assert [k.order for k in kappas] == [1, 2, 3, 4]
+    seen = Counter()
+    for kappa in kappas:
+        group = kappa.group
+        for _ in range(50):
+            lead = (rand_unit_ga(rng, group) if rng.random() < 0.3
+                    else rand_ga(rng, group, max_terms=4, denominators=True))
+            if not unit_by_rank(lead):
+                continue
+            d, window = rng.randint(-3, 3), rng.randint(1, 8)
+            terms = {d: lead}
+            for _ in range(rng.randint(0, 3) if window > 1 else 0):
+                terms[rng.randint(d + 1, d + window - 1)] = rand_ga(
+                    rng, group, denominators=True)
+            p = NovikovSeries(kappa, terms, d + window)
+            lo, nwindow = rng.randint(-3, 3), rng.randint(1, 12)
+            num = NovikovSeries(kappa, {
+                rng.randint(lo, lo + nwindow - 1): rand_ga(rng, group, denominators=True)
+                for _ in range(rng.randint(0, 4))}, lo + nwindow)
+            got, want = ns_invert(p, num), num * ns_invert(p)
+            assert (got.terms, got.top) == (want.terms, want.top)
+            assert got * p == num
+            seen[f"ord {kappa.order}"] += 1
+            seen["monomial" if len(lead.nums) == 1 else "non-monomial"] += 1
+            seen["negative lead degree"] += d < 0
+            seen["num off degree 0"] += num.min_deg != 0 and not num.is_zero()
+            seen["zero num"] += num.is_zero()
+            seen["shorter num"] += num.window < p.window
+            seen["longer num"] += num.window > p.window
+            seen["denominator"] += any(c.den > 1 for s in (p, num) for c in s.terms.values())
+    assert len(seen) == 12 and min(seen.values()) >= 30, seen
 
 
 def test_witt_normalize_examples():
