@@ -10,14 +10,14 @@ is a ``Fraction`` view for printing and projections.
 
 A product in Q[H] takes one of two exact routes, whichever a measured cost
 model (:meth:`GroupAlgebraElem.__mul__`) finds cheaper.  The schoolbook
-route translates the larger operand's exponent tuples by each term of the
-smaller one, a factor's column at a time, and sums the products of
-numerators.  The packed route writes each operand's numerators into one
-Python int (Kronecker substitution, :func:`~k1alex.snf.kronecker_product`:
-one mixed-radix slot per exponent vector of the uncarried product),
-multiplies the two ints once, folds the slots onto H modulo each d_i on the
-int itself with one mask and shift per factor, and reads back only the |H|
-slots of H.  Either way the denominators multiply.
+route moves the larger operand's keys by each term of the smaller one
+(:func:`~k1alex.snf.translate`) and sums the products of numerators.  The
+packed route writes each operand's numerators into one Python int
+(Kronecker substitution, :func:`~k1alex.snf.kronecker_product`: one
+mixed-radix slot per exponent vector of the uncarried product), multiplies
+the two ints once, folds the slots onto H modulo each d_i on the int itself
+with one mask and shift per factor, and reads back only the |H| slots of H.
+Either way the denominators multiply.
 
 Q[H] is a product of cyclotomic fields, Q[H] = prod Q(zeta_m), with one
 factor per Galois orbit of characters of H (Perlis-Walker): a character chi
@@ -35,11 +35,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
-from operator import add, mod
 from typing import Iterator, Mapping, Sequence
 
 from .snf import (inverse_mod, kronecker_product, kronecker_slots, pdivmod,
-                  slot_width, smith_normal_form)
+                  slot_width, smith_normal_form, translate)
 
 Element = tuple[int, ...]
 
@@ -274,13 +273,13 @@ class GroupAlgebraElem:
         self.nums = {e: c.numerator * (den // c.denominator) for e, c in summed.items() if c}
 
     @classmethod
-    def _make(cls, group: FiniteAbelianGroup, den: int,
-              nums: Mapping[Element, int]) -> "GroupAlgebraElem":
-        """Internal constructor for normalized keys and den > 0: drops the
-        zero numerators and divides out the gcd."""
-        nums = {e: n for e, n in nums.items() if n}
-        if den > 1:
-            g = gcd(den, *nums.values())
+    def _make(cls, group: FiniteAbelianGroup, den: int, nums: Mapping[Element, int],
+              reduced: bool = False) -> "GroupAlgebraElem":
+        """Internal constructor for normalized keys and den > 0: drops zero
+        numerators and divides out the gcd, unless ``nums`` is ``reduced``."""
+        if not reduced:
+            nums = {e: n for e, n in nums.items() if n}
+            g = gcd(den, *nums.values()) if den > 1 else 1
             if g > 1:
                 den //= g
                 nums = {e: n // g for e, n in nums.items()}
@@ -325,7 +324,8 @@ class GroupAlgebraElem:
         return GroupAlgebraElem._make(self.group, den, out)
 
     def __neg__(self) -> "GroupAlgebraElem":
-        return GroupAlgebraElem._make(self.group, self.den, {e: -n for e, n in self.nums.items()})
+        return GroupAlgebraElem._make(self.group, self.den, {e: -n for e, n in self.nums.items()},
+                                      reduced=True)
 
     def __sub__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
         return self + (-other) if self._check(other) else NotImplemented
@@ -333,16 +333,14 @@ class GroupAlgebraElem:
     def __mul__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
         """Exact product by the cheaper route for the numerators.  Measured
         under CPython 3.11 (2-vCPU x86), the schoolbook route costs about
-        0.4 us per term pair, m n with m <= n the term counts; the packed
+        0.3 us per term pair, m n with m <= n the term counts; the packed
         one (:func:`_packed_product`) as much per slot packed or read,
         m + n + |H|, plus a product of two S w-byte ints, S = prod (2 d_i - 1)
         slots of w bytes (:func:`~k1alex.snf.slot_width`), which grows like
         Karatsuba's (S w)^1.585 and took 3 ms at S w = 29 kB.  So products
         with m n - m - n - |H| >= (S w)^1.585 / 1600 are packed: 16 x 841
-        on (Z/29)^2 with 30-bit numerators, not 1 x 841 (0.35 ms schoolbook,
-        1.6 ms packed).  The schoolbook route translates the larger
-        operand's keys column by column once it has 5 keys; below that,
-        building the columns costs more than it saves.
+        on (Z/29)^2 with 30-bit numerators, not 1 x 841 (0.27 ms schoolbook,
+        1.5 ms packed).  A product by +-g over den 1 is in lowest terms.
         """
         if not self._check(other):
             return NotImplemented
@@ -352,22 +350,18 @@ class GroupAlgebraElem:
         if spare >= 0 and 1600 * spare >= (kronecker_slots(divisors)[1]
                                            * slot_width(small.nums, big.nums)) ** 1.585:
             return _packed_product(self, other)
-        out: dict[Element, int] = {}
-        if n <= 4:
-            for e, c in small.nums.items():
-                for k, v in big.nums.items():
-                    k = tuple(map(mod, map(add, k, e), divisors))
-                    out[k] = out.get(k, 0) + c * v
-            return GroupAlgebraElem._make(self.group, self.den * other.den, out)
-        cols = list(zip(*big.nums))
-        for e, c in small.nums.items():
-            moved = zip(*[[(x + s) % d for x in col] for col, s, d in zip(cols, e, divisors)])
-            prods = map(c.__mul__, big.nums.values())
-            if out:
-                for k, v in zip(moved, prods):
-                    out[k] = out.get(k, 0) + v
-            else:  # the first term is a plain relabeling
-                out = dict(zip(moved, prods))
+        if not m:
+            return small
+        terms = iter(small.nums.items())
+        e, c = next(terms)
+        moved = translate(big.nums, e, divisors)
+        if m == 1 and small.den == 1 and c in (1, -1):  # big's lowest terms hold
+            return GroupAlgebraElem._make(self.group, big.den, moved if c == 1 else
+                                          {k: -v for k, v in moved.items()}, reduced=True)
+        out = {k: c * v for k, v in moved.items()}
+        for e, c in terms:
+            for k, v in translate(big.nums, e, divisors).items():
+                out[k] = out.get(k, 0) + c * v
         return GroupAlgebraElem._make(self.group, self.den * other.den, out)
 
     __rmul__ = __mul__
@@ -383,9 +377,10 @@ class GroupAlgebraElem:
         power %= kappa.order
         if power == 0 or not self.nums:
             return self
-        table = kappa._table(power)
+        table = kappa._table(power)  # a relabeling keeps lowest terms
         return GroupAlgebraElem._make(self.group, self.den,
-                                      {table[e]: n for e, n in self.nums.items()})
+                                      {table[e]: n for e, n in self.nums.items()},
+                                      reduced=True)
 
     def augmentation(self) -> Fraction:
         """Coefficient sum: the pushforward along H -> 1."""
@@ -557,8 +552,9 @@ class OrbitClass:
 
     Coefficients are accumulated over kappa-orbits and stored on the
     lexicographically least member of each orbit, giving a canonical form.
-    Each orbit's sum is divided by ``den``, so integer numerators summed on
-    ints make one Fraction per orbit.
+    Only keys not in normal form are normalized.  Each orbit's sum is
+    divided by ``den``, so integer numerators summed on ints make one
+    Fraction per orbit.
     """
 
     __slots__ = ("group", "kappa", "coeffs")
@@ -572,7 +568,9 @@ class OrbitClass:
         reps = kappa._orbit_reps()
         out: dict[Element, Fraction | int] = {}
         for e, c in coeffs.items():
-            rep = reps[group.normalize(e)]
+            rep = reps.get(e)
+            if rep is None:  # the trivial group's rep is ()
+                rep = reps[group.normalize(e)]
             out[rep] = out[rep] + c if rep in out else c
         self.coeffs = {e: Fraction(c, den) for e, c in out.items() if c}
 

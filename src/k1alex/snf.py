@@ -1,6 +1,7 @@
 """Exact integer algebra: the Smith normal form U * A * V = D, division
 with remainder and the extended Euclidean algorithm in Z[x], and products
-in Z[H] by Kronecker substitution (:func:`kronecker_product`).
+in Z[H]: by Kronecker substitution (:func:`kronecker_product`), and one
+term at a time (:func:`translate`).
 
 The Smith normal form is the one exact elimination over Z: it reads the
 finite group H off the cover homology (:mod:`k1alex.cover`) and decides that
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, zip_longest
 from math import gcd, prod
+from operator import add, mod
 from typing import Mapping, Sequence
 
 
@@ -343,3 +345,34 @@ def kronecker_product(divisors: tuple[int, ...], a: Mapping[tuple[int, ...], int
     raw = q.to_bytes(width * nslots, "little")
     return {e: int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
             for e, k in slot_of.items()}
+
+
+@lru_cache(maxsize=None)
+def _shift_lists(divisors: tuple[int, ...]) -> tuple[list, list | None]:
+    """H's elements twice over, so entry k + s is k + s mod d for k, s < d:
+    1-tuples on Z/d; rows ``grid[x][y] = (x, y)`` and column indices on
+    Z/d_1 x Z/d_2."""
+    if len(divisors) == 1:
+        return [(x,) for x in range(divisors[0])] * 2, None
+    d1, d2 = divisors
+    return [[(x, y) for y in range(d2)] for x in range(d1)] * 2, [*range(d2)] * 2
+
+
+def translate(nums: Mapping[tuple[int, ...], int], e: tuple[int, ...],
+              divisors: tuple[int, ...]) -> Mapping[tuple[int, ...], int]:
+    """``nums`` times the group element e: each key k moved to k + e.
+
+    On rank 1 and 2 each moved key is read from the cached elements, one
+    shift list per factor (:func:`_shift_lists`) at offset e_i, so no tuple
+    is built or reduced; rank 3 and up adds per key.  An identity e returns
+    ``nums`` itself."""
+    if not any(e):
+        return nums
+    if len(divisors) > 2:
+        return {tuple(map(mod, map(add, k, e), divisors)): v for k, v in nums.items()}
+    rows, cols = _shift_lists(divisors)
+    if cols is None:
+        (s,) = e
+        return {rows[x + s]: v for (x,), v in nums.items()}
+    s, t = e
+    return {rows[x + s][cols[y + t]]: v for (x, y), v in nums.items()}

@@ -164,21 +164,26 @@ def _untwist(entries: Sequence[Sequence[NovikovSeries]], kappa: GroupAut,
     """Place the N monomials of every term of every entry into the grid.
 
     Term a tau^ell of entry (bi, bj) puts kappa^(N-i)(a) t^ell at row
-    bi*N + i, column bj*N + (i - ell) mod N, for i = 0 .. N-1.  Cells no
-    term reaches share one zero polynomial.
+    bi*N + i, column bj*N + (i - ell) mod N, for i = 0 .. N-1, read from a's
+    kappa-orbit, walked through kappa's one table: a term has few keys, so
+    a table of kappa^p is not worth its |H| entries.  Cells no term reaches
+    share one zero polynomial.
     """
     if period < 1 or period % kappa.order != 0:
         raise GroupError(f"period {period} is not a multiple of the "
                          f"automorphism order {kappa.order}")
     group = kappa.group
-    N = period
+    N, order = period, kappa.order
     cells: dict[tuple[int, int], dict[int, GroupAlgebraElem]] = {}
     for bi, row in enumerate(entries):
         for bj, a in enumerate(row):
             for ell, coeff in a.terms.items():
+                orbit = [coeff]
+                while len(orbit) < order:
+                    orbit.append(orbit[-1].apply_aut(kappa))
                 for i in range(N):
                     cell = cells.setdefault((bi * N + i, bj * N + (i - ell) % N), {})
-                    cell[ell] = coeff.apply_aut(kappa, N - i)
+                    cell[ell] = orbit[(N - i) % order]
     zero = LaurentPolyGA.zero(group)
     size = len(entries) * N
     grid = [[zero] * size for _ in range(size)]
@@ -208,18 +213,22 @@ def _row_order(supports: Sequence[int]) -> tuple[list[int], int]:
 
     A column is open once a taken row touches it while an untaken row is
     still nonzero in it.  The next row is the one leaving the fewest open
-    columns; ties go to the lowest index.
+    columns; ties go to the lowest index.  The untaken rows other than r
+    cover the columns two untaken rows share (``multi``) and the untaken
+    rows' columns (``once``) that r lacks, so a step costs O(n) mask
+    operations.
     """
     untaken = list(range(len(supports)))
     order: list[int] = []
     touched = inversions = 0
     while untaken:
+        once = multi = 0
+        for r in untaken:
+            multi |= once & supports[r]
+            once |= supports[r]
         best = best_open = -1
         for i, r in enumerate(untaken):
-            live = 0
-            for s in untaken:
-                if s != r:
-                    live |= supports[s]
+            live = multi | (once & ~supports[r])
             n_open = ((touched | supports[r]) & live).bit_count()
             if best < 0 or n_open < best_open:
                 best, best_open = i, n_open

@@ -398,3 +398,41 @@ def det_subset_dp_oracle(U: UpsilonMatrix) -> LaurentPolyGA:
         if not frontier:
             return LaurentPolyGA.zero(group)
     return frontier.get((1 << n) - 1, LaurentPolyGA.zero(group))
+
+
+def row_order_oracle(supports: list[int]) -> tuple[list[int], int]:
+    """The greedy row order of ``upsilon._row_order`` and its sign, by the
+    direct rule: for every candidate, OR the supports of all the other
+    untaken rows (O(n^3) mask operations in all)."""
+    untaken = list(range(len(supports)))
+    order: list[int] = []
+    touched = inversions = 0
+    while untaken:
+        best = best_open = -1
+        for i, r in enumerate(untaken):
+            live = 0
+            for s in untaken:
+                if s != r:
+                    live |= supports[s]
+            n_open = ((touched | supports[r]) & live).bit_count()
+            if best < 0 or n_open < best_open:
+                best, best_open = i, n_open
+        inversions += best
+        order.append(untaken.pop(best))
+        touched |= supports[order[-1]]
+    return order, -1 if inversions % 2 else 1
+
+
+def untwist_oracle(entries, kappa: GroupAut, period: int) -> list[list[LaurentPolyGA]]:
+    """The untwisted grid cell by cell: term a tau^ell of entry (bi, bj)
+    puts apply_aut(a, kappa, N - i) t^ell at row bi*N + i, column
+    bj*N + (i - ell) mod N, each power of kappa read from its own table."""
+    N, group = period, kappa.group
+    size = len(entries) * N
+    cells = [[{} for _ in range(size)] for _ in range(size)]
+    for bi, row in enumerate(entries):
+        for bj, a in enumerate(row):
+            for ell, coeff in a.terms.items():
+                for i in range(N):
+                    cells[bi * N + i][bj * N + (i - ell) % N][ell] = coeff.apply_aut(kappa, N - i)
+    return [[LaurentPolyGA(group, c) for c in row] for row in cells]

@@ -19,7 +19,7 @@ from k1alex import (
 )
 from k1alex import grouprings
 from k1alex.grouprings import character_orbits, cyclotomic
-from k1alex.snf import inverse_mod, pdivmod
+from k1alex.snf import inverse_mod, pdivmod, translate
 
 from helpers import (
     dict_ga_mul,
@@ -282,6 +282,56 @@ def test_both_product_routes_match_dict_oracle(divisors, monkeypatch):
         _check_storage(packed(a, b), expected)
         _check_storage(a * b, expected)
         _check_storage(b * a, expected)
+
+
+@pytest.mark.parametrize("divisors", PRODUCT_GROUPS)
+def test_translate_matches_per_key_oracle(divisors):
+    """translate(nums, e) moves every key k to k + e, values unchanged, on
+    sparse (at most 4 keys) and dense operands; the identity returns nums."""
+    rng = random.Random(sum(divisors) * 3 + len(divisors))
+    H = FiniteAbelianGroup(divisors)
+    elements = list(H.elements())
+    for size in {1, min(2, H.order), min(4, H.order), min(5, H.order), H.order,
+                 rng.randint(1, H.order)}:
+        nums = {e: rng.randint(-9, 9) or 1 for e in rng.sample(elements, size)}
+        assert translate(nums, H.identity(), divisors) is nums
+        for e in rng.sample(elements, min(6, H.order)):
+            moved = translate(nums, e, divisors)
+            assert moved == {H.add(k, e): v for k, v in nums.items()}
+            assert all(type(k) is tuple and len(k) == H.rank for k in moved)
+
+
+@pytest.mark.parametrize("divisors", PRODUCT_GROUPS)
+def test_one_term_operands_on_the_schoolbook_route(divisors, monkeypatch):
+    """A one-term operand relabels the other one: the identity and other
+    elements with coefficient +-1 over 1 (lowest terms kept as they are),
+    +-1 over 2 (renormalized) and other integers, against the dict oracle,
+    on either side.  a * one == a, and arithmetic on a product leaves its
+    operands as they were."""
+    rng = random.Random(sum(divisors) * 5 + 1)
+    H = FiniteAbelianGroup(divisors)
+    elements = list(H.elements())
+    one = GroupAlgebraElem.one(H)
+    _force_schoolbook(monkeypatch)
+    renormalized = 0
+    for size in (1, min(3, H.order), min(40, H.order)):
+        # even numerators over 3: a half of it cancels the 2
+        a = ga(H, {e: Fraction(2 * rng.randint(1, 50) * rng.choice((1, -1)), 3)
+                   for e in rng.sample(elements, size)})
+        before = (a.den, dict(a.nums))
+        assert a * one == a and one * a == a and hash(a * one) == hash(a)
+        for e in [H.identity()] + rng.sample(elements, min(3, H.order)):
+            for c in (1, -1, Fraction(1, 2), Fraction(-1, 2), 3, -7, Fraction(5, 4)):
+                mono = GroupAlgebraElem.of(H, e, c)
+                expected = dict_ga_mul(mono, a)
+                for product_ab in (mono * a, a * mono):
+                    _check_storage(product_ab, expected)
+                    renormalized += product_ab.den < mono.den * a.den
+                    _check_storage(product_ab + a, _fraction_sum(product_ab, a))
+                    _check_storage(-product_ab, {k: -v for k, v in expected.items()})
+                    _check_storage(product_ab * mono, dict_ga_mul(product_ab, mono))
+        assert (a.den, a.nums) == before
+    assert renormalized
 
 
 @pytest.mark.parametrize("divisors", PRODUCT_GROUPS)
@@ -816,6 +866,31 @@ def test_orbit_class_keys_are_canonical():
     assert OrbitClass(H, kappa, {(2,): 1, (3,): -1, (9,): 2}).coeffs == {(1,): Fraction(2)}
     with pytest.raises(GroupError):
         OrbitClass(FiniteAbelianGroup([7]), kappa, {(1,): 1})
+
+
+def test_orbit_class_normalizes_only_the_keys_it_cannot_find(monkeypatch):
+    """Keys already in normal form are read from the orbit table as they
+    are; only other keys are normalized, and one of the wrong length still
+    raises.  The trivial group's one key is ()."""
+    H, kappa = z5_negation()
+    calls = []
+    normalize = FiniteAbelianGroup.normalize
+
+    def counting(self, e):
+        calls.append(e)
+        return normalize(self, e)
+
+    monkeypatch.setattr(FiniteAbelianGroup, "normalize", counting)
+    assert OrbitClass(H, kappa, {(1,): 2, (4,): 3, (0,): 1}).coeffs == {(1,): 5, (0,): 1}
+    assert calls == []
+    assert OrbitClass(H, kappa, {(9,): 2, (-1,): 1}).coeffs == {(1,): 3}
+    assert calls == [(9,), (-1,)]
+    with pytest.raises(GroupError):
+        OrbitClass(H, kappa, {(1, 0): 1})
+    assert calls == [(9,), (-1,), (1, 0)]
+    T = FiniteAbelianGroup(())
+    trivial = OrbitClass(T, GroupAut.identity(T), {(): 3}, 2)
+    assert trivial.coeffs == {(): Fraction(3, 2)} and len(calls) == 3
 
 
 def test_orbit_class_sum_refuses_other_quotients():

@@ -36,8 +36,10 @@ from helpers import (
     det_subset_dp_oracle,
     rand_ga,
     rand_unit_ga,
+    row_order_oracle,
     trivial_group,
     unit_laurent_by_evaluation,
+    untwist_oracle,
     z4sq_order3,
     z5_negation,
 )
@@ -355,6 +357,59 @@ def test_upsilon_matrix_equals_block_by_block_construction(name, n):
         U = upsilon_matrix(mx, N)
         assert (U.size, U.period, U.group) == (size, N, H)
         assert U.entries == big
+
+
+@pytest.mark.parametrize("name,n", [("3_1", 9), ("5_2", 8)])
+def test_upsilon_matrix_equals_per_cell_twist_oracle(name, n):
+    """Walking each coefficient's kappa-orbit gives the grid the per-cell
+    apply_aut(kappa, N - i) construction gives, at period ord kappa and at
+    its multiples (3_1 N=9: ord 3; 5_2 N=8: ord 4 on Z/3 + Z/21, so the walk
+    goes round twice at N = 8), and builds no table but kappa's own."""
+    p = builtin(name)
+    rep = metabelian_rep(p, n)
+    mx = build_fox_matrix(p, rep, precision=4)
+    order = rep.kappa.order
+    assert 1 < order < n
+    for N in range(order, 2 * n + 1, order):
+        assert upsilon_matrix(mx, N).entries == untwist_oracle(mx.entries, mx.kappa, N)
+    fresh = metabelian_rep(p, n)
+    upsilon_matrix(build_fox_matrix(p, fresh, precision=4), n)
+    assert set(fresh.kappa._perms) == {1}
+
+
+def _bench_supports():
+    """The rows' column masks of Upsilon on every bench job, at cover N."""
+    jobs = [("4_1", 5), ("5_2", 4), ("3_1", 6), ("4_1", 2), ("5_2", 2), ("3_1", 9),
+            ("5_2", 6), ("4_1", 7), ("3_1", 2), ("5_2", 3)]
+    jobs += [(s, n) for s in _STABILIZED for n in (2, 3, 4, 6)]
+    for name, n in jobs:
+        p = (parse_presentation(_STABILIZED[name], name=name) if name in _STABILIZED
+             else builtin(name))
+        U = upsilon_matrix(build_fox_matrix(p, metabelian_rep(p, n), precision=4), n)
+        yield [sum(1 << j for j, e in enumerate(row) if e.terms) for row in U.entries]
+
+
+def test_row_order_matches_the_cubic_oracle():
+    """The O(n^2) greedy order and its sign equal the direct rule's on
+    seeded masks (n = 0 .. 30, empty and duplicate rows included) and on
+    Upsilon's supports of every bench job."""
+    rng = random.Random(61)
+    cases = []
+    for n in range(31):
+        for density in (0.1, 0.3, 0.6):
+            masks = [sum(1 << j for j in range(n) if rng.random() < density)
+                     for _ in range(n)]
+            if n > 2:
+                masks[rng.randrange(n)] = 0
+                masks[rng.randrange(n)] = masks[rng.randrange(n)]
+            cases.append(masks)
+    cases.extend(_bench_supports())
+    signs = set()
+    for masks in cases:
+        got = upsilon._row_order(masks)
+        assert got == row_order_oracle(masks)
+        signs.add(got[1])
+    assert signs == {1, -1}
 
 
 def test_det_upsilon_is_pure(monkeypatch):
