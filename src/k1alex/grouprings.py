@@ -9,22 +9,16 @@ lowest terms; all of its arithmetic runs on these integers, and ``coeffs``
 is a ``Fraction`` view for printing and projections.
 
 A product in Q[H] takes one of two exact routes, whichever a measured cost
-model (:meth:`GroupAlgebraElem.__mul__`) finds cheaper.  The schoolbook
-route moves the larger operand's keys by each term of the smaller one
-(:func:`~k1alex.snf.translate`) and sums the products of numerators.  The
-packed route writes each operand's numerators into one Python int
-(Kronecker substitution, :func:`~k1alex.snf.kronecker_product`: one
-mixed-radix slot per exponent vector of the uncarried product), multiplies
-the two ints once, folds the slots onto H modulo each d_i on the int itself
-with one mask and shift per factor, and reads back only the |H| slots of H.
-Either way the denominators multiply.
+model (:meth:`GroupAlgebraElem.__mul__`) finds cheaper: the schoolbook route
+moves the larger operand's keys by each term of the smaller one
+(:func:`translate`), and the packed route is one product of two ints
+(Kronecker substitution, :func:`~k1alex.snf.kronecker_product`).
 
 Q[H] is a product of cyclotomic fields, Q[H] = prod Q(zeta_m), with one
-factor per Galois orbit of characters of H (Perlis-Walker): a character chi
-of order m sends a to chi(a) in Q[x]/Phi_m.  Every unit test and inverse in
-Q[H] goes through this one character transform (:func:`character_images`)
-of the numerators, in Z[x]/Phi_m: :func:`gr_inverse` inverts each image
-there up to an integer (:func:`~k1alex.snf.inverse_mod`) and sums the
+factor per Galois orbit of characters of H (Perlis-Walker).  Every unit test
+and inverse in Q[H] goes through one character transform of the numerators
+into Z[x]/Phi_m (:func:`character_images`): :func:`gr_inverse` inverts each
+image there up to an integer (:func:`~k1alex.snf.inverse_mod`) and sums the
 Fourier back-transform as ints over one new denominator.
 """
 
@@ -35,10 +29,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
+from operator import add, mod, mul
 from typing import Iterator, Mapping, Sequence
 
-from .snf import (inverse_mod, kronecker_product, kronecker_slots, pdivmod,
-                  slot_width, smith_normal_form, translate)
+from .snf import (character_transform, cyclotomic, inverse_mod, kronecker_product,
+                  kronecker_slots, slot_width, smith_normal_form)
 
 Element = tuple[int, ...]
 
@@ -421,22 +416,38 @@ class GroupAlgebraElem:
     __repr__ = __str__
 
 
+@lru_cache(maxsize=None)
+def _shift_lists(divisors: tuple[int, ...]) -> tuple[list, list | None]:
+    """H's elements twice over, entry k + s being k + s mod d for k, s < d:
+    1-tuples on Z/d; rows (x, y) and column indices on Z/d_1 x Z/d_2."""
+    if len(divisors) == 1:
+        return [(x,) for x in range(divisors[0])] * 2, None
+    d1, d2 = divisors
+    return [[(x, y) for y in range(d2)] for x in range(d1)] * 2, [*range(d2)] * 2
+
+
+def translate(nums: Mapping[tuple[int, ...], int], e: tuple[int, ...],
+              divisors: tuple[int, ...]) -> Mapping[tuple[int, ...], int]:
+    """``nums`` times the group element e: each key k moved to k + e, read
+    on rank 1 and 2 from one shift list per factor (:func:`_shift_lists`) at
+    offset e_i, so no tuple is built or reduced; rank 3 and up adds per key.
+    An identity e returns ``nums`` itself."""
+    if not any(e):
+        return nums
+    if len(divisors) > 2:
+        return {tuple(map(mod, map(add, k, e), divisors)): v for k, v in nums.items()}
+    rows, cols = _shift_lists(divisors)
+    if cols is None:
+        (s,) = e
+        return {rows[x + s]: v for (x,), v in nums.items()}
+    s, t = e
+    return {rows[x + s][cols[y + t]]: v for (x, y), v in nums.items()}
+
+
 def _packed_product(a: GroupAlgebraElem, b: GroupAlgebraElem) -> GroupAlgebraElem:
-    """a * b by Kronecker substitution (:func:`~k1alex.snf.kronecker_product`
-    of the numerators), over a.den * b.den."""
+    """a * b as one Kronecker product of the numerators, over a.den * b.den."""
     return GroupAlgebraElem._make(a.group, a.den * b.den,
                                   kronecker_product(a.group.divisors, a.nums, b.nums))
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(m: int) -> tuple[int, ...]:
-    """Phi_m, constant term first: x^m - 1 over Phi_d for each proper d | m,
-    each a division by a monic integer polynomial."""
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            poly = pdivmod(poly, cyclotomic(d))[1]
-    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -449,11 +460,10 @@ def _traces(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def character_orbits(group: FiniteAbelianGroup) -> tuple[tuple[int, Element], ...]:
-    """One character per Galois orbit, as (m, u) with chi(h) = zeta_m^(u . h).
-
+    """One character per Galois orbit, as (m, u) with chi(h) = zeta_m^(u . h):
     H's characters are chi_w(h) = prod_i zeta_(d_i)^(w_i h_i), w in H, and
-    zeta -> zeta^k sends chi_w to chi_(k w): an orbit is the generators of a
-    cyclic subgroup <w> of order m and gives the factor Q(zeta_m) of Q[H].
+    zeta -> zeta^k sends chi_w to chi_(k w), so an orbit is the generators of
+    a cyclic subgroup <w> of order m and gives the factor Q(zeta_m) of Q[H].
     """
     seen: set[Element] = set()
     out = []
@@ -466,17 +476,9 @@ def character_orbits(group: FiniteAbelianGroup) -> tuple[tuple[int, Element], ..
 
 
 def character_images(a: GroupAlgebraElem) -> list[list[int]]:
-    """chi(a.den * a), which is chi of a's integer numerators, in
-    Z[x]/Phi_m for each character of :func:`character_orbits`, reduced below
-    degree phi(m); the empty list is zero.  Phi_m is monic over Z, so the
-    reduction divides by nothing."""
-    images = []
-    for m, u in character_orbits(a.group):
-        vec = [0] * m
-        for e, n in a.nums.items():
-            vec[sum(x * y for x, y in zip(u, e)) % m] += n
-        images.append(pdivmod(vec, cyclotomic(m))[2])
-    return images
+    """chi(a.den * a) in Z[x]/Phi_m, reduced below degree phi(m), for each
+    character of :func:`character_orbits`; the empty list is zero."""
+    return character_transform(a.group.divisors, character_orbits(a.group), a.nums)
 
 
 def _character_index(divisors: Sequence[int], u: Element, m: int) -> list[int]:
@@ -515,8 +517,7 @@ def gr_inverse(a: GroupAlgebraElem) -> GroupAlgebraElem | None:
     inversion, b_h = (1/|H|) sum_orbits Tr(chi(a)^-1 * zeta_m^-(u . h)),
     then sums the integer rows (L / r) Tr(s * zeta_m^-j), with L the lcm of
     the r: the inverse has numerators den * sum over the denominator L |H|.
-    Results are memoized: elimination pivots and their leading coefficients
-    recur heavily across a run.
+    Results are memoized, since pivot leads recur across a run.
     """
     if not a.nums:
         return None
@@ -536,9 +537,8 @@ def gr_inverse(a: GroupAlgebraElem) -> GroupAlgebraElem | None:
         b = [0] * group.order
         for (m, u), (s, r) in zip(orbits, inverses):
             tr, scale = _traces(m), big // r
-            # Tr(s * zeta^-j) = sum_k s_k Tr(zeta^(k - j))
-            row = [scale * sum(sk * tr[(k - j) % m] for k, sk in enumerate(s) if sk)
-                   for j in range(m)]
+            # Tr(s * zeta^-j) = sum_k s_k Tr(zeta^(k - j)), tr rotated by j
+            row = [scale * sum(map(mul, s, tr[-j:] + tr[:-j])) for j in range(m)]
             b = [x + row[j] for x, j in zip(b, _character_index(group.divisors, u, m))]
         result = GroupAlgebraElem._make(group, big * group.order,
                                         {h: x * a.den for h, x in zip(group.elements(), b)})

@@ -13,7 +13,8 @@ unit group.  The representative is ambiguous up to a unit monomial
 (u tau^k, u a unit of Q[H]) and coefficient-wise twisting; the canonical
 content is the Witt part together with its projected logarithms and the
 commutative determinant det Upsilon computed in :mod:`k1alex.upsilon`, from
-which :func:`k1_invariant` also takes the logarithms and every verdict.
+which :func:`k1_invariant` also takes the logarithms, and the verdict when
+elimination stalls.
 """
 
 from __future__ import annotations
@@ -168,18 +169,18 @@ def eliminate(mx: NovikovMatrix) -> K1Report:
 
     Pivot choice is deterministic: minimal leading tau-degree first, then
     fewest stored coefficients (monomial-like entries keep the elimination
-    exact), then row-major position.  Rows below the pivot are cleared by
-    elementary operations, which vanish in the abelianized determinant, so
-    the ordered pivot product times tau^{-g} represents the class of the
-    matrix.  Row i's multiplier is one right division,
-    ``ns_invert(pivot, M[i][k])``.
+    exact), then row-major position; each entry is tested once.  Rows below
+    the pivot are cleared by elementary operations, which vanish in the
+    abelianized determinant, so the ordered pivot product times tau^{-g}
+    represents the class of the matrix.  Row i's multiplier is one right
+    division, ``ns_invert(pivot, M[i][k])``.
 
     A completed elimination proves the matrix invertible ("yes").  If at some
     stage no entry has a unit leading coefficient -- a Novikov unit over a
     ring with nontrivial idempotents can hide behind a non-unit one --
     elimination stalls: ``delta`` and the verdict are None, and the partial
-    trace, swaps and stage are kept.  :func:`k1_invariant` reads its own
-    verdict off det Upsilon either way.
+    trace, swaps and stage are kept.  :func:`k1_invariant` then reads the
+    verdict off det Upsilon.
     """
     n = mx.size
     M = [row[:] for row in mx.entries]
@@ -191,11 +192,19 @@ def eliminate(mx: NovikovMatrix) -> K1Report:
     precision = min(e.top - min(e.min_deg, 0) if not e.is_zero() else e.top
                     for row in M for e in row)
 
+    # id(entry) -> (entry, its _pivot_candidate): holding the entry keeps
+    # its id from being reused, and an entry no row operation replaced keeps
+    # its verdict across stages and swaps
+    verdicts: dict[int, tuple] = {}
     for k in range(n):
         best = None
         for i in range(k, n):
             for j in range(k, n):
-                cand = _pivot_candidate(M[i][j])
+                entry = M[i][j]
+                seen = verdicts.get(id(entry))
+                if seen is None:
+                    seen = verdicts[id(entry)] = (entry, _pivot_candidate(entry))
+                cand = seen[1]
                 if cand is None:
                     continue
                 key = (cand[0], cand[1], i, j)
@@ -234,13 +243,6 @@ def eliminate(mx: NovikovMatrix) -> K1Report:
                     degree=degree, witt=witt,
                     note=f"delta = tau^-{mx.genus} * (ordered pivot product); "
                          f"{swaps} swaps absorbed into the unit ambiguity")
-
-
-def _det_upsilon(mx: NovikovMatrix):
-    """det Upsilon(mx) at period N = ord kappa, and whether it is a unit."""
-    from . import upsilon
-    det = upsilon.det_upsilon(mx, mx.kappa.order)
-    return det, upsilon.is_unit_laurent(det)
 
 
 _latest: tuple = (None, None, None, None)  # (p, rep, matrix, det) of the latest k1_invariant
@@ -287,21 +289,25 @@ def k1_invariant(p: MeridianPresentation, rep: MetaRep,
 
     The report carries the Witt-normalized representative of the determinant
     class and its projected logarithms.  P = det Upsilon at period N = ord
-    kappa is computed once and gives the verdict, "yes" or "no", on every
-    call: M_n(A_kappa((tau))) is finite-dimensional over Q((tau^N)) and
-    Upsilon embeds it injectively into M_nN(Q[H]((t))), so M is invertible
-    iff P is a unit (:func:`is_unit_laurent`).  When elimination completes,
-    the logs are read off P over its lowest coefficient (:func:`ns_log`,
-    :func:`_norm_inverse`); when it stalls, delta, the Witt part and the
-    logs stay None.  The matrix and P are kept for :func:`latest_relation`.
+    kappa is computed once: M_n(A_kappa((tau))) is finite-dimensional over
+    Q((tau^N)) and Upsilon embeds it injectively into M_nN(Q[H]((t))), so M
+    is invertible iff P is a unit.  When elimination completes, the verdict
+    is "yes" and the logs are read off P over its lowest coefficient
+    (:func:`ns_log`, :func:`_norm_inverse`); that coefficient is checked to
+    be +-N(lead of delta), a unit, so P is a unit too.  When elimination
+    stalls, the verdict is whether P is a unit (:func:`is_unit_laurent`),
+    and delta, the Witt part and the logs stay None.  The matrix and P are
+    kept for :func:`latest_relation`.
     """
     global _latest
+    from . import upsilon  # upsilon imports this module
     mx = build_fox_matrix(p, rep, precision)
     report = eliminate(mx)
-    det, unit = _det_upsilon(mx)
+    det = upsilon.det_upsilon(mx, mx.kappa.order)
     _latest = p, rep, mx, det
-    report.invertible = "yes" if unit else "no"
-    if report.delta is not None:
+    if report.delta is None:
+        report.invertible = "yes" if upsilon.is_unit_laurent(det) else "no"
+    else:
         lo = det.min_degree()
         c0_inv = _norm_inverse(det.coefficient(lo), report.unit_part, mx.kappa)
         witt_det = {d - lo: c * c0_inv for d, c in det.terms.items()}
@@ -332,7 +338,9 @@ def fibered_obstruction(p: MeridianPresentation, reps: Sequence[MetaRep]) -> Obs
     invertible verdicts are merely consistent with fiberedness: the converse
     would require every representation, so the summary never claims "fibered".
     """
-    units = [_det_upsilon(build_fox_matrix(p, rep, UPSILON_WINDOW))[1] for rep in reps]
+    from . import upsilon
+    mxs = [build_fox_matrix(p, rep, UPSILON_WINDOW) for rep in reps]
+    units = [upsilon.is_unit_laurent(upsilon.det_upsilon(mx, mx.kappa.order)) for mx in mxs]
     verdicts = tuple("invertible" if u else "not-invertible" for u in units)
     summary = ("non-fibered certified" if "not-invertible" in verdicts
                else "no obstruction found: consistent-with-fibered")

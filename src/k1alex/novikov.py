@@ -25,6 +25,7 @@ them off the commutative determinant of w, since log det = tr log.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Mapping
 
 from .grouprings import (
@@ -212,7 +213,8 @@ def ns_invert(p: NovikovSeries, num: NovikovSeries | None = None) -> NovikovSeri
     With p = sum_i c_i tau^(d+i) and u = c_0^-1, solving f p = num degree by
     degree gives f_j = (num_(j+d) - sum_(i>=1) f_(j-i) kappa^(j-i)(c_i)) *
     kappa^j(u) from j = num.min_deg - d, on the window of num times p^-1:
-    top = min(num.top - d, p.top - 2d + num.min_deg).  A non-unit leading
+    top = min(num.top - d, p.top - 2d + num.min_deg).  The twists depend on
+    j mod ord kappa only and are taken once per residue.  A non-unit leading
     coefficient raises: such a series may still be invertible in the
     Novikov ring, but not by this route.
     """
@@ -227,18 +229,25 @@ def ns_invert(p: NovikovSeries, num: NovikovSeries | None = None) -> NovikovSeri
         p._check(num)
         rhs, lo = num.terms, num.min_deg
         top = min(num.top - d, p.top - 2 * d + lo)
-    # (i, c_i) for the terms past the lead, highest i first, so that each
-    # sum adds its products in increasing degree j - i
-    tail = [(e - d, c) for e, c in reversed(p.terms.items()) if e > d]
+    # kappa^j twists only by j mod n = ord kappa: u and each c_i are twisted
+    # at the first n powers of the range and read at (j - first) mod n.  The
+    # tail holds (i, twists of c_i) for the terms past the lead that reach
+    # some f_(j-i), highest i first, so that each sum adds its products in
+    # increasing degree j - i.
+    n, first = kappa.order, lo - d
+    powers = range(first, first + min(n, top - first))
+    twisted_u = [*map(u.apply_aut, repeat(kappa), powers)]
+    tail = [(e - d, [*map(c.apply_aut, repeat(kappa), powers)])
+            for e, c in reversed(p.terms.items()) if 0 < e - d < top - first]
     zero = GroupAlgebraElem.zero(p.group)
     f: dict[int, GroupAlgebraElem] = {}
-    for j in range(lo - d, top):
+    for j in range(first, top):
         acc = rhs.get(j + d, zero)
-        for i, c in tail:
+        for i, twists in tail:
             if j - i in f:
-                acc = acc - f[j - i] * c.apply_aut(kappa, j - i)
+                acc = acc - f[j - i] * twists[(j - i - first) % n]
         if acc:
-            f[j] = acc * u.apply_aut(kappa, j)
+            f[j] = acc * twisted_u[(j - first) % n]
     return NovikovSeries(kappa, f, top)
 
 

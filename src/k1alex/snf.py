@@ -1,23 +1,25 @@
 """Exact integer algebra: the Smith normal form U * A * V = D, division
-with remainder and the extended Euclidean algorithm in Z[x], and products
-in Z[H]: by Kronecker substitution (:func:`kronecker_product`), and one
-term at a time (:func:`translate`).
+with remainder and the extended Euclidean algorithm in Z[x], the character
+transform of Z[H] (:func:`character_transform`), and products in Z[H] by
+Kronecker substitution (:func:`kronecker_product`).
 
 The Smith normal form is the one exact elimination over Z: it reads the
 finite group H off the cover homology (:mod:`k1alex.cover`) and decides that
 an endomorphism of H is onto (:class:`~k1alex.grouprings.GroupAut`).  Every
-factorization is re-verified exactly before it is returned.  The polynomial
-routines reduce character values modulo cyclotomic polynomials and invert
-them (:func:`~k1alex.grouprings.gr_inverse`) without leaving the integers.
+factorization is re-verified exactly before it is returned.  The character
+transform takes Z[H] to Z[x]/Phi_m, one cyclotomic ring per Galois orbit of
+characters, from cached tables; the polynomial routines invert its images
+(:func:`~k1alex.grouprings.gr_inverse`) without leaving the integers.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, zip_longest
+from itertools import compress, product, zip_longest
 from math import gcd, prod
-from operator import add, mod
+from operator import add, getitem
 from typing import Mapping, Sequence
 
 
@@ -281,6 +283,67 @@ def inverse_mod(c: Sequence[int], f: Sequence[int]) -> tuple[list[int], int]:
 
 
 @lru_cache(maxsize=None)
+def cyclotomic(m: int) -> tuple[int, ...]:
+    """Phi_m, constant term first: x^m - 1 over Phi_d for each proper d | m,
+    each a division by a monic integer polynomial."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = pdivmod(poly, cyclotomic(d))[1]
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _character_tables(divisors: tuple[int, ...], orbits: tuple) -> tuple[tuple, ...]:
+    """Per character (m, u) in ``orbits``: m, phi(m), per factor i the list
+    u_i h mod m for h < d_i, and the residues of x^k mod Phi_m for
+    phi(m) <= k < m, each phi(m) coefficients long."""
+    out = []
+    for m, u in orbits:
+        f = cyclotomic(m)
+        phi, high = len(f) - 1, []
+        for k in range(phi, m):
+            r = pdivmod([0] * k + [1], f)[2]
+            high.append(r + [0] * (phi - len(r)))
+        out.append((m, phi, [[x * h % m for h in range(d)] for x, d in zip(u, divisors)], high))
+    return tuple(out)
+
+
+def character_transform(divisors: tuple[int, ...], orbits: tuple,
+                        nums: Mapping[tuple[int, ...], int]) -> list[list[int]]:
+    """chi(sum_h nums[h] h) in Z[x]/Phi_m for each character (m, u) in
+    ``orbits`` (:func:`~k1alex.grouprings.character_orbits`, chi(h) =
+    zeta_m^(u . h)), reduced below degree phi(m) and without trailing
+    zeros; the empty list is zero.
+
+    Each term adds its value at index u . h mod m, read from one table per
+    factor (:func:`_character_tables`); the indices k >= phi(m) then add
+    their value times the tabulated residue of x^k mod Phi_m.
+    """
+    images, items, rank = [], nums.items(), len(divisors)
+    for m, phi, tables, high in _character_tables(divisors, orbits):
+        vec = [0] * m
+        if rank == 1:
+            (s,) = tables
+            for (x,), n in items:
+                vec[s[x]] += n
+        elif rank == 2:
+            s, t = tables
+            for (x, y), n in items:
+                vec[(s[x] + t[y]) % m] += n
+        else:
+            for e, n in items:
+                vec[sum(map(getitem, tables, e)) % m] += n
+        image, rest = vec[:phi], vec[phi:]
+        for c, r in compress(zip(rest, high), rest):
+            image = list(map(add, image, map(c.__mul__, r)))
+        while image and not image[-1]:
+            image.pop()
+        images.append(image)
+    return images
+
+
+@lru_cache(maxsize=None)
 def kronecker_slots(divisors: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
     """Slot of each element, and the slot count, for packing Z/d_1 x ... x
     Z/d_r with 2 d_i - 1 slots per factor, the last factor the lowest digit.
@@ -315,6 +378,16 @@ def slot_width(a: Mapping[tuple[int, ...], int], b: Mapping[tuple[int, ...], int
     return bound.bit_length() // 8 + 1
 
 
+# _VIEWS: slot width -> (item size, format) of the smallest native unsigned
+# memoryview item that holds it.  Native sizes vary by platform, so they are
+# read off memoryview itself; items are read in native byte order, so a
+# big-endian host has no views and packs every slot as a byte slice.
+_VIEW_FORMATS = ({memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}
+                 if sys.byteorder == "little" else {})
+_VIEWS = {w: min((s, f) for s, f in _VIEW_FORMATS.items() if s >= w)
+          for w in range(1, max(_VIEW_FORMATS, default=0) + 1)}
+
+
 def kronecker_product(divisors: tuple[int, ...], a: Mapping[tuple[int, ...], int],
                       b: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
     """The product in Z[Z/d_1 x ... x Z/d_r] of nonempty ``a`` and ``b``
@@ -326,53 +399,36 @@ def kronecker_product(divisors: tuple[int, ...], a: Mapping[tuple[int, ...], int
     element.  Each factor then folds on the int itself: the slots with
     k_i >= d_i, less their offset, are masked out, shifted down by d_i
     steps of digit i and added back.  Only the elements' slots are read.
+
+    A slot of at most 8 bytes is widened to 1, 2, 4 or 8 bytes and written
+    and read as one item of a ``memoryview`` of the little-endian bytes;
+    wider slots, and every slot on a big-endian host, are byte slices.
     """
-    slot_of, nslots = kronecker_slots(divisors)
     width = slot_width(a, b)
+    width, fmt = _VIEWS.get(width, (width, None))
+    slot_of, nslots = kronecker_slots(divisors)
     half = 1 << (8 * width - 1)
     offset, folds = _fold_masks(divisors, width)
+    size = width * nslots
     ints = []
     for x in (a, b):
-        buf = bytearray(offset.to_bytes(width * nslots, "little"))
-        for e, n in x.items():
-            k = slot_of[e] * width
-            buf[k:k + width] = (n + half).to_bytes(width, "little")
+        buf = bytearray(offset.to_bytes(size, "little"))
+        if fmt:
+            view = memoryview(buf).cast(fmt)
+            for e, n in x.items():
+                view[slot_of[e]] = n + half
+        else:
+            for e, n in x.items():
+                k = slot_of[e] * width
+                buf[k:k + width] = (n + half).to_bytes(width, "little")
         ints.append(int.from_bytes(buf, "little") - offset)
     q = ints[0] * ints[1] + offset
     for mask, high, shift in folds:
         moved = (q & mask) - high
         q += (moved >> shift) - moved
-    raw = q.to_bytes(width * nslots, "little")
+    raw = q.to_bytes(size, "little")
+    if fmt:
+        view = memoryview(raw).cast(fmt)
+        return {e: view[k] - half for e, k in slot_of.items()}
     return {e: int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
             for e, k in slot_of.items()}
-
-
-@lru_cache(maxsize=None)
-def _shift_lists(divisors: tuple[int, ...]) -> tuple[list, list | None]:
-    """H's elements twice over, so entry k + s is k + s mod d for k, s < d:
-    1-tuples on Z/d; rows ``grid[x][y] = (x, y)`` and column indices on
-    Z/d_1 x Z/d_2."""
-    if len(divisors) == 1:
-        return [(x,) for x in range(divisors[0])] * 2, None
-    d1, d2 = divisors
-    return [[(x, y) for y in range(d2)] for x in range(d1)] * 2, [*range(d2)] * 2
-
-
-def translate(nums: Mapping[tuple[int, ...], int], e: tuple[int, ...],
-              divisors: tuple[int, ...]) -> Mapping[tuple[int, ...], int]:
-    """``nums`` times the group element e: each key k moved to k + e.
-
-    On rank 1 and 2 each moved key is read from the cached elements, one
-    shift list per factor (:func:`_shift_lists`) at offset e_i, so no tuple
-    is built or reduced; rank 3 and up adds per key.  An identity e returns
-    ``nums`` itself."""
-    if not any(e):
-        return nums
-    if len(divisors) > 2:
-        return {tuple(map(mod, map(add, k, e), divisors)): v for k, v in nums.items()}
-    rows, cols = _shift_lists(divisors)
-    if cols is None:
-        (s,) = e
-        return {rows[x + s]: v for (x,), v in nums.items()}
-    s, t = e
-    return {rows[x + s][cols[y + t]]: v for (x, y), v in nums.items()}

@@ -22,6 +22,8 @@ from k1alex import (
     orbit_project,
     word,
 )
+from k1alex.grouprings import character_orbits, cyclotomic
+from k1alex.snf import pdivmod
 
 
 # Genus-2 presentations: 4_1 and 5_2 with a trivial handle added.
@@ -332,6 +334,19 @@ def unit_by_rank(a) -> bool:
     divisor, iff its regular representation is nonsingular over Q."""
     n = a.group.order
     return len(echelon(regular_representation(a), n)) == n
+
+
+def character_images_oracle(a) -> list[list[int]]:
+    """chi(a.den * a) per character (m, u) of ``character_orbits``: each
+    term added at the generator sum u . h mod m, then one pseudo-division by
+    the monic Phi_m.  The oracle for the table-driven character transform."""
+    images = []
+    for m, u in character_orbits(a.group):
+        vec = [0] * m
+        for e, n in a.nums.items():
+            vec[sum(x * y for x, y in zip(u, e)) % m] += n
+        images.append(pdivmod(vec, cyclotomic(m))[2])
+    return images
 
 
 def unit_laurent_by_evaluation(p) -> bool:

@@ -1,6 +1,7 @@
 """Group algebras, automorphisms, unit testing, orbit projection."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -17,11 +18,12 @@ from k1alex import (
     gr_is_unit,
     orbit_project,
 )
-from k1alex import grouprings
-from k1alex.grouprings import character_orbits, cyclotomic
-from k1alex.snf import inverse_mod, pdivmod, translate
+from k1alex import grouprings, snf
+from k1alex.grouprings import character_orbits, cyclotomic, translate
+from k1alex.snf import inverse_mod, pdivmod
 
 from helpers import (
+    character_images_oracle,
     dict_ga_mul,
     echelon,
     fraction_divmod_poly,
@@ -356,6 +358,60 @@ def test_packed_slots_at_the_byte_boundaries(divisors):
     assert {0, 7} <= seen
 
 
+def _sized_operands(rng, H, width):
+    """Integer operands a, b with min(|a|, |b|) = m terms and largest
+    magnitudes A and B, such that the slot bound A B m has bit length
+    8 width - 1 or 8 (width - 1) (1 at least): the widest and the narrowest
+    bound that still takes slots of ``width`` bytes.  About half the pairs
+    put all of a at +-A and b on all of H at +-B, so that every coefficient
+    of the product reaches the bound in absolute value."""
+    elements = list(H.elements())
+    aligned = rng.random() < 0.5
+    while True:
+        bits = rng.choice((max(1, 8 * (width - 1)), 8 * width - 1))
+        lo, hi = 1 << (bits - 1), (1 << bits) - 1
+        m = rng.randint(1, min(H.order, hi))
+        B = rng.randint(1, min(hi // m, 1 << rng.choice((1, 8 * width))))
+        if -(-lo // (m * B)) <= hi // (m * B):
+            break
+    A = rng.randint(-(-lo // (m * B)), hi // (m * B))
+
+    def values(k, top):
+        if aligned:
+            return [rng.choice((-1, 1)) * top] * k
+        return [top] + [rng.choice((-1, 1)) * rng.randint(1, top) for _ in range(k - 1)]
+
+    b_keys = elements if aligned else rng.sample(elements, rng.randint(m, H.order))
+    a = dict(zip(rng.sample(elements, m), values(m, A)))
+    b = dict(zip(b_keys, values(len(b_keys), B)))
+    return a, b
+
+
+@pytest.mark.parametrize("divisors", [(), (7,), (3, 21), (11, 11), (2, 4, 8)])
+def test_kronecker_product_at_every_slot_width(divisors, monkeypatch):
+    """Operands sized for slots of exactly 1, 2, 3, 4, 5, 8 and 9 bytes and
+    of 30 and 47: the packed product equals the schoolbook oracle on the
+    native memoryview route, which takes slots of up to 8 bytes widened to
+    1, 2, 4 or 8, and on the byte-slice route, which wider slots take and,
+    with no native format at hand, every width."""
+    rng = random.Random(sum(divisors) + 23)
+    H = FiniteAbelianGroup(divisors)
+    if sys.byteorder == "little":  # a big-endian host packs every slot as bytes
+        assert set(snf._VIEWS) == set(range(1, 9))
+        assert all(w <= size < 2 * w for w, (size, _) in snf._VIEWS.items())
+    for width in (1, 2, 3, 4, 5, 8, 9, 30, 47):
+        for _ in range(4):
+            a, b = _sized_operands(rng, H, width)
+            assert snf.slot_width(a, b) == width
+            expected = {e: int(c) for e, c in dict_ga_mul(ga(H, a), ga(H, b)).items()}
+            for views in (snf._VIEWS, {}):
+                with monkeypatch.context() as patch:
+                    patch.setattr(snf, "_VIEWS", views)
+                    product_ab = snf.kronecker_product(divisors, a, b)
+                assert set(product_ab) == set(H.elements())
+                assert {e: v for e, v in product_ab.items() if v} == expected
+
+
 @pytest.mark.parametrize("divisors", PRODUCT_GROUPS[1:])
 def test_cancelled_keys_are_dropped_on_both_routes(divisors, monkeypatch):
     """(1 - g) times a g-periodic element cancels on every key, and times
@@ -619,6 +675,25 @@ def test_character_orbits_split_the_group(divisors):
     cyclic = {frozenset(H.scale(h, k) for k in range(H.element_order(h)))
               for h in H.elements()}
     assert len(orbits) == len(cyclic)
+
+
+@pytest.mark.parametrize("divisors", [(), (2,), (6,), (2, 2), (4, 4), (3, 21), (5, 35),
+                                      (11, 11), (2, 4, 8)])
+def test_character_images_match_the_pdivmod_oracle(divisors):
+    """The table-driven transform equals the generator sum and division by
+    Phi_m (helpers.character_images_oracle) on seeded elements of 1 to |H|
+    terms, with big and small numerators, and on zero divisors, whose images
+    vanish on some orbits."""
+    rng = random.Random(sum(divisors) + 5)
+    H = FiniteAbelianGroup(divisors)
+    one = GroupAlgebraElem.one(H)
+    for i in range(30):
+        a = _rand_dense(rng, H, rng.randint(1, H.order), big=i % 3 == 0)
+        if divisors and i % 4 == 1:
+            a = a * (one - GroupAlgebraElem.of(H, rng.choice(H.generator_basis())))
+        assert grouprings.character_images(a) == character_images_oracle(a)
+    assert grouprings.character_images(GroupAlgebraElem.zero(H)) == \
+        [[]] * len(character_orbits(H))
 
 
 def test_cyclotomic_products():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
@@ -36,11 +37,13 @@ from k1alex.presentation import NielsenMove, apply_nielsen, transport_rep
 from k1alex.words import gen
 
 from helpers import (
+    STABILIZED_4_1,
     STABILIZED_5_2,
     oracle_logs,
     rand_ga,
     rand_unit_ga,
     trivial_group,
+    unit_laurent_by_evaluation,
     z4sq_order3,
     z5_negation,
 )
@@ -224,6 +227,77 @@ def test_det_route_logs_match_power_sum_oracle(monkeypatch, fixture):
             assert report.logs == oracle_logs(report.witt)
             checked += 1
     assert checked >= 12
+
+
+def _count_unit_tests(monkeypatch) -> list:
+    """Record every det Upsilon that upsilon.is_unit_laurent is asked about."""
+    import k1alex.upsilon as upsilon
+    calls = []
+    real = upsilon.is_unit_laurent
+    monkeypatch.setattr(upsilon, "is_unit_laurent", lambda p: calls.append(p) or real(p))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["3_1", "4_1", "5_2", "s4_1", "s5_2"])
+def test_completed_elimination_needs_no_unit_test(monkeypatch, name):
+    """A completed elimination answers "yes" without testing det Upsilon,
+    and that determinant is a unit on every such report: 3_1, 4_1, 5_2 and
+    both stabilized texts at N = 2..6."""
+    texts = {"s4_1": STABILIZED_4_1, "s5_2": STABILIZED_5_2}
+    p = parse_presentation(texts[name]) if name in texts else builtin(name)
+    calls = _count_unit_tests(monkeypatch)
+    for n in range(2, 7):
+        rep = metabelian_rep(p, n)
+        report = k1_invariant(p, rep, PREC)
+        assert report.delta is not None and report.invertible == "yes"
+        assert is_unit_laurent(latest_relation(p, rep)[1])
+    assert not calls
+
+
+def test_stalled_unit_leading_2x2_verdict_is_a_unit_test(monkeypatch):
+    """The Q[Z/5] draw (kappa = inversion) of
+    test_det_route_logs_match_power_sum_oracle that stalls: every entry leads
+    with a unit, but the Schur complement's lead is a zero divisor.
+    k1_invariant then tests det Upsilon once and answers "yes", as the
+    evaluation oracle does."""
+    _, kappa = z5_negation()
+    a = _poly(kappa, {0: {(1,): -1}})
+    b = _poly(kappa, {0: {(4,): 1}, 1: {(1,): 3, (4,): -3}})
+    c = _poly(kappa, {0: {(3,): -1}, 1: {(2,): 3}})
+    d = _poly(kappa, {0: {(3,): 1}, 1: {(0,): 6, (3,): -1}})
+    mx = NovikovMatrix([[a, b], [c, d]])
+    assert eliminate(mx).note == "no admissible pivot at stage 1"
+    p, rep = _feed_matrix(monkeypatch, mx)
+    calls = _count_unit_tests(monkeypatch)
+    report = k1_invariant(p, rep, PREC)
+    det = latest_relation(p, rep)[1]
+    assert calls == [det]
+    assert report.delta is None and report.invertible == "yes"
+    assert unit_laurent_by_evaluation(det)
+
+
+@pytest.mark.parametrize("text", [STABILIZED_4_1, STABILIZED_5_2])
+@pytest.mark.parametrize("n", [3, 4])
+def test_pivot_verdicts_match_retesting_every_candidate(monkeypatch, text, n):
+    """eliminate tests each entry once.  On the genus-2 relation matrices
+    of stabilized 4_1 and 5_2 at N = 3, 4 and window 10, its pivot trace,
+    swaps and delta equal those of a run whose memo never hits (every id a
+    fresh key), which re-tests every candidate at every stage, with fewer
+    unit tests."""
+    import k1alex.k1core as k1core
+    p = parse_presentation(text)
+    mx = build_fox_matrix(p, metabelian_rep(p, n), 10)
+    tests = []
+    real = k1core.gr_is_unit
+    monkeypatch.setattr(k1core, "gr_is_unit", lambda a: tests.append(a) or real(a))
+    once = eliminate(mx)
+    memo_tests = len(tests)
+    fresh = count()
+    monkeypatch.setattr(k1core, "id", lambda entry: next(fresh), raising=False)
+    again = eliminate(mx)
+    assert (again.pivot_trace, again.swaps) == (once.pivot_trace, once.swaps)
+    assert (again.delta.terms, again.delta.top) == (once.delta.terms, once.delta.top)
+    assert memo_tests < len(tests) - memo_tests
 
 
 def test_eliminate_singular_matrix_certified_no(monkeypatch):
