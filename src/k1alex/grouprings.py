@@ -3,10 +3,11 @@
 A :class:`FiniteAbelianGroup` is a product Z/d_1 x ... x Z/d_r with a
 divisibility chain d_1 | d_2 | ... | d_r; elements are exponent tuples.  A
 :class:`GroupAut` is an integer matrix acting on exponent columns modulo the
-divisors.  A :class:`GroupAlgebraElem` is an element of Q[H], stored as
-integer numerators on group elements over one positive denominator, in
-lowest terms; all of its arithmetic runs on these integers, and ``coeffs``
-is a ``Fraction`` view for printing and projections.
+divisors; every power of it acts on Q[H] through its one table.  A
+:class:`GroupAlgebraElem` is an element of Q[H], stored as integer
+numerators on group elements over one positive denominator, in lowest
+terms; all of its arithmetic runs on these integers, and ``coeffs`` is a
+``Fraction`` view for printing and projections.
 
 A product in Q[H] takes one of two exact routes, whichever a measured cost
 model (:meth:`GroupAlgebraElem.__mul__`) finds cheaper: the schoolbook route
@@ -130,9 +131,13 @@ class GroupAut:
     Z^r / (d_1 Z + ... + d_r Z) and finite, so kappa is bijective iff onto,
     iff the columns of M and diag(d) span Z^r, iff every Smith normal form
     divisor of the r x 2r matrix [M | diag(d)] is 1.
+
+    kappa is tabulated at most once (:meth:`_table`), and only for Q[H]
+    elements and orbits; single elements are moved without a table, so no
+    group order is too large for :meth:`apply`, :attr:`order` or ``==``.
     """
 
-    __slots__ = ("group", "matrix", "_order", "_perms", "_reps")
+    __slots__ = ("group", "matrix", "_order", "_perm", "_reps")
 
     def __init__(self, group: FiniteAbelianGroup, matrix: Sequence[Sequence[int]]):
         r = group.rank
@@ -148,7 +153,7 @@ class GroupAut:
                 if (matrix[i][j] * d[j]) % d[i] != 0:
                     raise GroupError("matrix does not define a map on the group")
         self._order: int | None = None
-        self._perms: dict[int, dict[Element, Element]] = {}
+        self._perm: dict[Element, Element] | None = None
         self._reps: dict[Element, Element] | None = None
         snf = smith_normal_form([list(row) + [d[i] if j == i else 0 for j in range(r)]
                                  for i, row in enumerate(matrix)])
@@ -161,49 +166,32 @@ class GroupAut:
         return cls(group, [[1 if i == j else 0 for j in range(r)] for i in range(r)])
 
     def apply(self, e: Element, power: int = 1) -> Element:
-        """kappa^power(e), iterating kappa on the one element: a single
-        element needs no table, so no group order is too large here."""
+        """kappa^power(e), iterating kappa on the one element."""
         for _ in range(power % self.order):
             e = self._apply_once(e)
         return e
 
-    def _table(self, power: int) -> dict[Element, Element]:
-        """Tabulated kappa^power, through which Q[H] elements are acted on
-        at any group order (:meth:`GroupAlgebraElem.apply_aut`); a single
-        element takes no table (:meth:`apply`).
-
-        kappa is tabulated once; kappa^p is the table of kappa^(p-1) composed
-        with it, filling the missing lower powers upward from the highest
-        cached one, so any request order costs |H| applications in all.
-        """
-        perms = self._perms
-        table = perms.get(power)
-        if table is None:
-            if 1 not in perms:
-                # each image coordinate as one list in elements() order
-                g = self.group
-                coords = [_character_index(g.divisors, row, d)
-                          for row, d in zip(self.matrix, g.divisors)]
-                perms[1] = dict(zip(g.elements(), list(zip(*coords)) or [()]))
-            once = perms[1]
-            p = max(q for q in perms if q <= power)
-            table = perms[p]
-            for q in range(p + 1, power + 1):
-                table = perms[q] = {e: once[v] for e, v in table.items()}
-        return table
+    def _table(self) -> dict[Element, Element]:
+        """kappa as a table, built on first use."""
+        if self._perm is None:
+            # each image coordinate as one list in elements() order
+            g = self.group
+            coords = [_character_index(g.divisors, row, d)
+                      for row, d in zip(self.matrix, g.divisors)]
+            self._perm = dict(zip(g.elements(), list(zip(*coords)) or [()]))
+        return self._perm
 
     @property
     def order(self) -> int:
+        """ord kappa, iterated on the generators; it is finite, since kappa
+        is bijective (checked at construction) on the finite H."""
         if self._order is None:
             basis = self.group.generator_basis()
-            target = basis
             cur = [self._apply_once(e) for e in basis]
             n = 1
-            while cur != target:
+            while cur != basis:
                 cur = [self._apply_once(e) for e in cur]
                 n += 1
-                if n > self.group.order ** self.group.rank + 1:
-                    raise GroupError("automorphism order did not terminate")
             self._order = n
         return self._order
 
@@ -219,7 +207,7 @@ class GroupAut:
         kappa's table.  Elements are visited in increasing order, so the
         first one met on an orbit is its least."""
         if self._reps is None:
-            once, reps = self._table(1), {}
+            once, reps = self._table(), {}
             for e in self.group.elements():
                 if e not in reps:
                     cur = e
@@ -367,15 +355,19 @@ class GroupAlgebraElem:
                                       {e: n * c.numerator for e, n in self.nums.items()})
 
     def apply_aut(self, kappa: GroupAut, power: int = 1) -> "GroupAlgebraElem":
+        """kappa^power(self): the keys relabeled (power mod ord kappa) times
+        through kappa's one table, since an element has few keys and a table
+        of kappa^power is not worth its |H| entries."""
         if kappa.group != self.group:
             raise GroupError("automorphism acts on a different group")
         power %= kappa.order
         if power == 0 or not self.nums:
             return self
-        table = kappa._table(power)  # a relabeling keeps lowest terms
-        return GroupAlgebraElem._make(self.group, self.den,
-                                      {table[e]: n for e, n in self.nums.items()},
-                                      reduced=True)
+        table, nums = kappa._table(), self.nums
+        for _ in range(power):
+            nums = {table[e]: n for e, n in nums.items()}
+        # a relabeling keeps lowest terms
+        return GroupAlgebraElem._make(self.group, self.den, nums, reduced=True)
 
     def augmentation(self) -> Fraction:
         """Coefficient sum: the pushforward along H -> 1."""

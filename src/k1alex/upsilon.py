@@ -46,6 +46,7 @@ from .grouprings import (
     MetaRep,
     character_images,
     character_orbits,
+    translate,
 )
 from .k1core import UPSILON_WINDOW, NovikovMatrix, build_fox_matrix, latest_relation
 from .novikov import NovikovSeries, format_terms
@@ -165,9 +166,9 @@ def _untwist(entries: Sequence[Sequence[NovikovSeries]], kappa: GroupAut,
 
     Term a tau^ell of entry (bi, bj) puts kappa^(N-i)(a) t^ell at row
     bi*N + i, column bj*N + (i - ell) mod N, for i = 0 .. N-1, read from a's
-    kappa-orbit, walked through kappa's one table: a term has few keys, so
-    a table of kappa^p is not worth its |H| entries.  Cells no term reaches
-    share one zero polynomial.
+    kappa-orbit, each step of it one relabeling through kappa's one table
+    (:meth:`~k1alex.grouprings.GroupAlgebraElem.apply_aut`).  Cells no term
+    reaches share one zero polynomial.
     """
     if period < 1 or period % kappa.order != 0:
         raise GroupError(f"period {period} is not a multiple of the "
@@ -202,9 +203,9 @@ def upsilon_elem(a: NovikovSeries, period: int) -> UpsilonMatrix:
     return _untwist([[a]], a.kappa, period)
 
 
-def upsilon_matrix(mx: NovikovMatrix, period: int | None = None) -> UpsilonMatrix:
+def upsilon_matrix(mx: NovikovMatrix, period: int) -> UpsilonMatrix:
     """Entrywise untwisting of a Novikov matrix into blocks."""
-    return _untwist(mx.entries, mx.kappa, mx.kappa.order if period is None else period)
+    return _untwist(mx.entries, mx.kappa, period)
 
 
 def _row_order(supports: Sequence[int]) -> tuple[list[int], int]:
@@ -333,36 +334,29 @@ def canonical_form(p: LaurentPolyGA) -> LaurentPolyGA:
 
 
 def poly_equiv(p: LaurentPolyGA, q: LaurentPolyGA) -> bool:
-    """Equality up to a unit monomial c * t^a * h (c rational, h in H)."""
+    """Equality up to a unit monomial c * t^a * h (c rational, h in H).
+
+    Once the lowest degrees are aligned, h must carry some key e of q's
+    lowest coefficient onto one fixed key e0 of p's, and that pair fixes c,
+    so only the h = e0 - e are tried.
+    """
     if p.group != q.group:
         raise GroupError("polynomials over different group algebras")
     if p.is_zero() or q.is_zero():
         return p.is_zero() and q.is_zero()
-    shift = p.min_degree() - q.min_degree()
-    qs = q.shift(shift)
+    lo, group = p.min_degree(), p.group
+    qs = q.shift(lo - q.min_degree())
     if set(p.terms) != set(qs.terms):
         return False
-    group = p.group
-    degs = sorted(p.terms)
-    for h in group.elements():
-        ratio = None
-        good = True
-        for d in degs:
-            pc = p.terms[d].coeffs
-            qc = {group.add(h, e): v for e, v in qs.terms[d].coeffs.items()}
-            if set(pc) != set(qc):
-                good = False
+    p0, q0 = p.terms[lo], qs.terms[lo]
+    e0, n0 = next(iter(p0.nums.items()))
+    for e, n in q0.nums.items():
+        h, c = group.add(e0, group.neg(e)), Fraction(n0 * q0.den, n * p0.den)
+        for d, a in p.terms.items():
+            b = qs.terms[d].scale(c)  # a relabeling keeps lowest terms
+            if a.den != b.den or a.nums != translate(b.nums, h, group.divisors):
                 break
-            for e, v in pc.items():
-                r = v / qc[e]
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
+        else:
             return True
     return False
 

@@ -441,7 +441,7 @@ def row_order_oracle(supports: list[int]) -> tuple[list[int], int]:
 def untwist_oracle(entries, kappa: GroupAut, period: int) -> list[list[LaurentPolyGA]]:
     """The untwisted grid cell by cell: term a tau^ell of entry (bi, bj)
     puts apply_aut(a, kappa, N - i) t^ell at row bi*N + i, column
-    bj*N + (i - ell) mod N, each power of kappa read from its own table."""
+    bj*N + (i - ell) mod N, each cell twisted on its own."""
     N, group = period, kappa.group
     size = len(entries) * N
     cells = [[{} for _ in range(size)] for _ in range(size)]
@@ -451,3 +451,38 @@ def untwist_oracle(entries, kappa: GroupAut, period: int) -> list[list[LaurentPo
                 for i in range(N):
                     cells[bi * N + i][bj * N + (i - ell) % N][ell] = coeff.apply_aut(kappa, N - i)
     return [[LaurentPolyGA(group, c) for c in row] for row in cells]
+
+
+def poly_equiv_oracle(p: LaurentPolyGA, q: LaurentPolyGA) -> bool:
+    """Equality up to a unit monomial c * t^a * h by trying every h in H,
+    the oracle for upsilon.poly_equiv: after aligning the lowest degrees,
+    every coefficient of p must be h times q's, with one ratio throughout."""
+    if p.is_zero() or q.is_zero():
+        return p.is_zero() and q.is_zero()
+    shift = p.min_degree() - q.min_degree()
+    qs = q.shift(shift)
+    if set(p.terms) != set(qs.terms):
+        return False
+    group = p.group
+    degs = sorted(p.terms)
+    for h in group.elements():
+        ratio = None
+        good = True
+        for d in degs:
+            pc = p.terms[d].coeffs
+            qc = {group.add(h, e): v for e, v in qs.terms[d].coeffs.items()}
+            if set(pc) != set(qc):
+                good = False
+                break
+            for e, v in pc.items():
+                r = v / qc[e]
+                if ratio is None:
+                    ratio = r
+                elif r != ratio:
+                    good = False
+                    break
+            if not good:
+                break
+        if good:
+            return True
+    return False

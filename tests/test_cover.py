@@ -314,7 +314,8 @@ def test_metabelian_rep_pinned_at_larger_covers(name, n, divisors, kappa, images
 
 def test_metabelian_rep_builds_no_table_for_a_large_group(monkeypatch):
     """4_1 at N = 14 has |H| = 710645: reading kappa and validating the
-    representation act on a few elements only, never on all of H."""
+    representation act on a few elements only, never on all of H, and
+    kappa's table is not built."""
     calls = [0]
     once = GroupAut._apply_once
 
@@ -326,6 +327,7 @@ def test_metabelian_rep_builds_no_table_for_a_large_group(monkeypatch):
     rep = metabelian_rep(builtin("4_1"), 14)
     assert rep.group.order == 710645
     assert calls[0] < 1000
+    assert rep.kappa._perm is None
 
 
 def test_trivial_rep_basics():

@@ -487,40 +487,53 @@ def test_aut_order():
     assert GroupAut.identity(H).order == 1
 
 
-def test_aut_tables_compose_from_the_cached_chain(monkeypatch):
-    once = GroupAut._apply_once
+def _twist_oracle(a, kappa, p):
+    """The numerators of kappa^p(a), each key moved by p mod ord kappa
+    applications of kappa, with no table."""
+    out = {}
+    for e, n in a.nums.items():
+        for _ in range(p % kappa.order):
+            e = kappa._apply_once(e)
+        out[e] = n
+    return out
+
+
+def _check_apply_aut(a, kappa, powers):
+    for p in powers:
+        got = a.apply_aut(kappa, p)
+        assert (got.den, got.nums) == (a.den, _twist_oracle(a, kappa, p))
+
+
+def test_apply_aut_walks_kappas_one_table(monkeypatch):
+    """Every power of kappa acts on a dense element as p applications of
+    kappa per key, and all powers share kappa's one table, built once."""
     for divisors, matrix, order in (
         # (16, 24) have order 7 mod 29; the upper-right 8 mixes the coordinates
         ([29, 29], [[16, 8], [0, 24]], 7),
-        # |H| = 10201: tables serve Q[H] at any group order
+        # |H| = 10201: one table serves Q[H] at any group order
         ([101, 101], [[0, 1], [-1, 0]], 4),
     ):
         H = FiniteAbelianGroup(divisors)
         kappa = GroupAut(H, matrix)
         assert kappa.order == order
-        calls = [0]
-
-        def counting(self, e):
-            calls[0] += 1
-            return once(self, e)
-
-        monkeypatch.setattr(GroupAut, "_apply_once", counting)
-        # descending, the order untwisting asks in
-        tables = {p: kappa._table(p) for p in range(order - 1, 0, -1)}
-        assert calls[0] <= 2 * H.order
+        dense = _rand_dense(random.Random(7), H, H.order)
+        built = []
+        index = grouprings._character_index
+        monkeypatch.setattr(grouprings, "_character_index",
+                            lambda *args: built.append(args) or index(*args))
+        # descending, the order untwisting used to ask in, then past ord kappa
+        powers = [*range(order - 1, -2, -1), order, order + 2, 3 * order - 1, -order - 1]
+        _check_apply_aut(dense, kappa, powers)
         monkeypatch.undo()
-        for p, table in tables.items():
-            assert all(table[e] == kappa.apply(e, p) for e in H.elements())
-        # any other request order gives the same tables
-        rng = random.Random(7)
-        other = GroupAut(H, kappa.matrix)
-        for p in rng.sample(range(1, order), order - 1):
-            assert other._table(p) == tables[p]
+        assert len(built) == H.rank
+        assert [name for name in GroupAut.__slots__
+                if isinstance(getattr(kappa, name), dict)] == ["_perm"]
 
 
 def test_aut_table_matches_iterated_apply_once():
-    """kappa^p's table sends every element where p applications of kappa
-    do, over groups of rank 0 to 3 and seeded automorphisms."""
+    """apply_aut(kappa, p) relabels each key where p applications of kappa
+    send it, for p negative, zero, inside ord kappa and past it, over groups
+    of rank 0 to 3 and seeded automorphisms."""
     rng = random.Random(41)
     for divisors in ((), (7,), (12,), (2, 6), (5, 5), (2, 2, 4), (3, 3, 9)):
         H = FiniteAbelianGroup(divisors)
@@ -532,14 +545,11 @@ def test_aut_table_matches_iterated_apply_once():
             except GroupError:
                 continue
             found += 1
-            for p in rng.sample(range(1, kappa.order + 1), min(kappa.order, 3)):
-                table = kappa._table(p)
-                assert len(table) == H.order
-                for e in H.elements():
-                    image = e
-                    for _ in range(p):
-                        image = kappa._apply_once(image)
-                    assert table[e] == image
+            n = kappa.order
+            powers = [-n - 1, -1, 0, *rng.sample(range(1, n + 1), min(n, 3)),
+                      n + 1, 2 * n + rng.randrange(n)]
+            for a in (_rand_dense(rng, H, H.order), rand_ga(rng, H, denominators=True)):
+                _check_apply_aut(a, kappa, powers)
 
 
 def test_aut_equality_of_one_object_applies_no_map(monkeypatch):

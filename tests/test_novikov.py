@@ -55,7 +55,7 @@ def rand_series(rng, kappa, neg=True):
 def det_log(w):
     """Projected logs of a polynomial Witt vector by the determinant route:
     det Upsilon of the 1 x 1 matrix [w], fed to ns_log."""
-    det = det_commutative(upsilon_matrix(NovikovMatrix([[w]], genus=0)))
+    det = det_commutative(upsilon_matrix(NovikovMatrix([[w]], genus=0), w.kappa.order))
     return ns_log(det.terms, w.kappa, w.top)
 
 

@@ -34,6 +34,7 @@ from helpers import (
     STABILIZED_4_1,
     STABILIZED_5_2,
     det_subset_dp_oracle,
+    poly_equiv_oracle,
     rand_ga,
     rand_unit_ga,
     row_order_oracle,
@@ -374,7 +375,8 @@ def test_upsilon_matrix_equals_per_cell_twist_oracle(name, n):
         assert upsilon_matrix(mx, N).entries == untwist_oracle(mx.entries, mx.kappa, N)
     fresh = metabelian_rep(p, n)
     upsilon_matrix(build_fox_matrix(p, fresh, precision=4), n)
-    assert set(fresh.kappa._perms) == {1}
+    kappa = fresh.kappa
+    assert kappa._perm == {e: kappa._apply_once(e) for e in kappa.group.elements()}
 
 
 def _bench_supports():
@@ -474,6 +476,46 @@ def test_poly_equiv_cases():
     sixth = LaurentPolyGA(Ht, {0: onet, 6: onet.scale(-2), 12: onet})
     third = LaurentPolyGA(Ht, {0: onet, 3: onet.scale(-2), 6: onet})
     assert not poly_equiv(sixth, third)
+
+
+def test_poly_equiv_matches_the_every_h_oracle():
+    """poly_equiv, which tries only the h aligning the lowest coefficients,
+    answers as the oracle trying every h does: on unit-monomial multiples
+    and on near misses (one degree scaled or moved apart, one numerator
+    changed, a key added), over groups of rank 0 to 3."""
+    rng = random.Random(63)
+    seen = {True: 0, False: 0}
+    for divisors in ((), (7,), (12,), (2, 6), (5, 5), (2, 2, 4), (3, 3, 3)):
+        H = FiniteAbelianGroup(divisors)
+        elements = list(H.elements())
+        for _ in range(200):
+            # repeated values give the lowest coefficient several candidate h
+            values = rng.choice(((1,), (1, -1), (1, 2, Fraction(1, 3))))
+            p = LaurentPolyGA(H, {})
+            for d in rng.sample(range(-2, 4), rng.randint(1, 3)):
+                keys = rng.sample(elements, rng.randint(1, min(4, H.order)))
+                p.terms[d] = GroupAlgebraElem(H, {e: rng.choice(values) for e in keys})
+            unit = GroupAlgebraElem.of(H, rng.choice(elements),
+                                       Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 5))))
+            q = (p * LaurentPolyGA.monomial(unit, rng.randint(-3, 3))).terms
+            d = rng.choice(sorted(q))
+            miss = rng.randrange(5)
+            if miss == 1:
+                q[d] = q[d].scale(rng.choice((-1, 2)))
+            elif miss == 2:
+                q[d] = q[d] * GroupAlgebraElem.of(H, rng.choice(elements))
+            elif miss == 3:
+                e = rng.choice(sorted(q[d].nums))
+                q[d] = q[d] + GroupAlgebraElem.of(H, e, Fraction(1, q[d].den))
+            elif miss == 4:
+                q[d] = q[d] + GroupAlgebraElem.of(H, rng.choice(elements))
+            # keys out of p's order, so the first h tried is not always right
+            q = LaurentPolyGA(H, {d: GroupAlgebraElem(H, dict(rng.sample(
+                sorted(c.coeffs.items()), len(c.nums)))) for d, c in q.items()})
+            want = poly_equiv_oracle(p, q)
+            assert poly_equiv(p, q) == poly_equiv(q, p) == want
+            seen[want] += 1
+    assert min(seen.values()) > 300
 
 
 def test_is_unit_laurent_cases():
