@@ -25,7 +25,6 @@ Fourier back-transform as ints over one new denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -35,6 +34,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .snf import (character_transform, cyclotomic, inverse_mod, kronecker_product,
                   kronecker_slots, slot_width, smith_normal_form)
+from .words import Record
 
 Element = tuple[int, ...]
 
@@ -72,7 +72,7 @@ class FiniteAbelianGroup:
     def normalize(self, e: Sequence[int]) -> Element:
         if len(e) != self.rank:
             raise GroupError(f"element length {len(e)} != rank {self.rank}")
-        return tuple(x % d for x, d in zip(e, self.divisors))
+        return tuple(map(mod, e, self.divisors))
 
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.divisors))
@@ -233,6 +233,9 @@ class GroupAut:
         return all(self._apply_once(e) == other._apply_once(e)
                    for e in self.group.generator_basis())
 
+    def __hash__(self) -> int:
+        return hash((self.group, *map(self._apply_once, self.group.generator_basis())))
+
     def __repr__(self) -> str:
         return f"GroupAut({self.group.describe()}, {[list(r) for r in self.matrix]})"
 
@@ -246,10 +249,11 @@ class GroupAlgebraElem:
 
     def __init__(self, group: FiniteAbelianGroup,
                  coeffs: Mapping[Element, Fraction | int] | None = None):
-        summed: dict[Element, Fraction] = {}
+        summed: dict[Element, Fraction | int] = {}
         for e, c in (coeffs or {}).items():
             e = group.normalize(e)
-            summed[e] = summed.get(e, 0) + Fraction(c)
+            c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+            summed[e] = summed[e] + c if e in summed else c
         # the lcm of reduced denominators is coprime to the numerators over it
         den = lcm(*(c.denominator for c in summed.values() if c))
         self.group, self.den = group, den
@@ -599,8 +603,7 @@ def orbit_project(a: GroupAlgebraElem, kappa: GroupAut, divisor: int = 1) -> Orb
     return OrbitClass(a.group, kappa, a.nums, a.den * divisor)
 
 
-@dataclass(frozen=True)
-class MetaRep:
+class MetaRep(Record):
     """Representation data for a map to H semidirect Z.
 
     ``images[i]`` is the image of x_{i+1} in H; the meridian maps to the
@@ -609,17 +612,15 @@ class MetaRep:
     the automorphism order may be a proper divisor of it.
     """
 
-    group: FiniteAbelianGroup
-    kappa: GroupAut
-    images: tuple[Element, ...]
-    cover_n: int
-    free_rank: int = 0
+    __slots__ = ("group", "kappa", "images", "cover_n", "free_rank")
 
-    def __post_init__(self):
-        if self.cover_n < 1 or self.cover_n % self.kappa.order != 0:
-            raise GroupError(
-                f"cover degree {self.cover_n} incompatible with automorphism "
-                f"order {self.kappa.order}")
+    def __init__(self, group: FiniteAbelianGroup, kappa: GroupAut, images: tuple[Element, ...],
+                 cover_n: int, free_rank: int = 0):
+        self.group, self.kappa, self.images = group, kappa, images
+        self.cover_n, self.free_rank = cover_n, free_rank
+        if cover_n < 1 or cover_n % kappa.order != 0:
+            raise GroupError(f"cover degree {cover_n} incompatible with automorphism "
+                             f"order {kappa.order}")
 
     def image_of_exponents(self, exps: Sequence[int]) -> Element:
         """Image of a word with the given x_i exponent sums (H is abelian)."""

@@ -19,8 +19,7 @@ elimination stalls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .grouprings import GroupAlgebraElem, GroupAut, GroupError, MetaRep, gr_inverse, gr_is_unit
 from .novikov import (
@@ -33,7 +32,7 @@ from .novikov import (
     witt_normalize,
 )
 from .presentation import MeridianPresentation, validate_rep
-from .words import Word
+from .words import Record, Word
 
 UPSILON_WINDOW = 4  # Upsilon reads only tau^0 and tau^1 of each relation entry
 
@@ -66,39 +65,42 @@ class NovikovMatrix:
         return self.entries[ij[0]][ij[1]]
 
 
-@dataclass(frozen=True)
-class PivotStep:
+class PivotStep(Record):
     """One elimination stage, kept for audit."""
 
-    stage: int
-    row: int
-    col: int
-    lead_degree: int
-    support_len: int
-    witt_type: bool  # leading coefficient sits at tau-degree 0
+    __slots__ = ("stage", "row", "col", "lead_degree", "support_len", "witt_type")
+
+    def __init__(self, stage: int, row: int, col: int, lead_degree: int, support_len: int,
+                 witt_type: bool):  # leading coefficient sits at tau-degree 0
+        self.stage, self.row, self.col = stage, row, col
+        self.lead_degree, self.support_len, self.witt_type = lead_degree, support_len, witt_type
 
 
-@dataclass
-class K1Report:
+class K1Report(Record):
     """Outcome of eliminating a Novikov matrix.
 
     ``delta`` is tau^{-g} times the ordered pivot product; it factors as
     unit_part * tau^degree * witt, and :func:`k1_invariant` fills in the
     projected logarithms of the Witt part and the verdict from det Upsilon.
-    All five stay None when elimination stalls.
+    All five stay None when elimination stalls, and ``invertible`` ("yes" or
+    "no") is None only from a stalled :func:`eliminate`.
     """
 
-    invertible: Optional[str]  # "yes" | "no"; None only from a stalled eliminate()
-    precision: int
-    diagonal: list[NovikovSeries] = field(default_factory=list)
-    pivot_trace: list[PivotStep] = field(default_factory=list)
-    swaps: int = 0
-    delta: Optional[NovikovSeries] = None
-    unit_part: Optional[GroupAlgebraElem] = None
-    degree: Optional[int] = None
-    witt: Optional[WittVector] = None
-    logs: Optional[LogClass] = None
-    note: str = ""
+    __slots__ = ("invertible", "precision", "diagonal", "pivot_trace", "swaps", "delta",
+                 "unit_part", "degree", "witt", "logs", "note")
+    __hash__ = None
+
+    def __init__(self, invertible: str | None, precision: int,
+                 diagonal: list[NovikovSeries] | None = None,
+                 pivot_trace: list[PivotStep] | None = None, swaps: int = 0,
+                 delta: NovikovSeries | None = None, unit_part: GroupAlgebraElem | None = None,
+                 degree: int | None = None, witt: WittVector | None = None,
+                 logs: LogClass | None = None, note: str = ""):
+        self.invertible, self.precision, self.swaps, self.note = invertible, precision, swaps, note
+        self.diagonal = [] if diagonal is None else diagonal
+        self.pivot_trace = [] if pivot_trace is None else pivot_trace
+        self.delta, self.unit_part, self.degree, self.witt, self.logs = (
+            delta, unit_part, degree, witt, logs)
 
     def witt_pivots_only(self) -> bool:
         return all(s.witt_type for s in self.pivot_trace)
@@ -272,10 +274,10 @@ def _norm_inverse(c0: GroupAlgebraElem, lead: GroupAlgebraElem,
     c0^-1 = +-N(lead^-1), the sign read off exactly; no match raises.
     """
     u = gr_inverse(lead)
-    norm, norm_inv = lead, u
-    for i in range(1, kappa.order):
-        norm = norm * lead.apply_aut(kappa, i)
-        norm_inv = norm_inv * u.apply_aut(kappa, i)
+    norm, norm_inv, twist, twist_inv = lead, u, lead, u
+    for _ in range(1, kappa.order):  # kappa^i from kappa^(i-1): one relabel each
+        twist, twist_inv = twist.apply_aut(kappa), twist_inv.apply_aut(kappa)
+        norm, norm_inv = norm * twist, norm_inv * twist_inv
     if norm == c0:
         return norm_inv
     if norm == -c0:
@@ -315,12 +317,13 @@ def k1_invariant(p: MeridianPresentation, rep: MetaRep,
     return report
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """Per-representation invertibility verdicts for the fiberedness test."""
 
-    verdicts: tuple[str, ...]  # "invertible" | "not-invertible"
-    summary: str
+    __slots__ = ("verdicts", "summary")
+
+    def __init__(self, verdicts: tuple[str, ...], summary: str):  # "invertible" | "not-invertible"
+        self.verdicts, self.summary = verdicts, summary
 
     @property
     def certified_nonfibered(self) -> bool:

@@ -25,7 +25,7 @@ them off the commutative determinant of w, since log det = tr log.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Mapping
 
 from .grouprings import (
@@ -214,9 +214,9 @@ def ns_invert(p: NovikovSeries, num: NovikovSeries | None = None) -> NovikovSeri
     degree gives f_j = (num_(j+d) - sum_(i>=1) f_(j-i) kappa^(j-i)(c_i)) *
     kappa^j(u) from j = num.min_deg - d, on the window of num times p^-1:
     top = min(num.top - d, p.top - 2d + num.min_deg).  The twists depend on
-    j mod ord kappa only and are taken once per residue.  A non-unit leading
-    coefficient raises: such a series may still be invertible in the
-    Novikov ring, but not by this route.
+    j mod ord kappa only and are taken once per residue, each from the one
+    before.  A non-unit leading coefficient raises: such a series may still
+    be invertible in the Novikov ring, but not by this route.
     """
     d, lead = p.leading()
     u = gr_inverse(lead)
@@ -230,15 +230,17 @@ def ns_invert(p: NovikovSeries, num: NovikovSeries | None = None) -> NovikovSeri
         rhs, lo = num.terms, num.min_deg
         top = min(num.top - d, p.top - 2 * d + lo)
     # kappa^j twists only by j mod n = ord kappa: u and each c_i are twisted
-    # at the first n powers of the range and read at (j - first) mod n.  The
-    # tail holds (i, twists of c_i) for the terms past the lead that reach
-    # some f_(j-i), highest i first, so that each sum adds its products in
-    # increasing degree j - i.
+    # at the first n powers of the range, each from the one before by one
+    # relabel, and read at (j - first) mod n.  The tail holds (i, twists of
+    # c_i) for the terms past the lead that reach some f_(j-i), highest i
+    # first, so that each sum adds its products in increasing degree j - i.
     n, first = kappa.order, lo - d
-    powers = range(first, first + min(n, top - first))
-    twisted_u = [*map(u.apply_aut, repeat(kappa), powers)]
-    tail = [(e - d, [*map(c.apply_aut, repeat(kappa), powers)])
-            for e, c in reversed(p.terms.items()) if 0 < e - d < top - first]
+
+    def twisted(c: GroupAlgebraElem) -> list[GroupAlgebraElem]:
+        return [*accumulate(repeat(kappa, min(n, top - first) - 1), GroupAlgebraElem.apply_aut,
+                            initial=c.apply_aut(kappa, first))]
+    twisted_u = twisted(u)
+    tail = [(e - d, twisted(c)) for e, c in reversed(p.terms.items()) if 0 < e - d < top - first]
     zero = GroupAlgebraElem.zero(p.group)
     f: dict[int, GroupAlgebraElem] = {}
     for j in range(first, top):

@@ -22,11 +22,10 @@ invariance of the downstream invariants can be exercised directly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Literal, Optional
 
 from .grouprings import GroupError, MetaRep
-from .words import IDENTITY, Word, WordError, gen, substitute, word
+from .words import IDENTITY, Record, Word, WordError, gen, substitute, word
 
 
 class ParseError(ValueError):
@@ -38,20 +37,17 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class MeridianPresentation:
-    genus: int
-    y: tuple[Word, ...]
-    z: tuple[Word, ...]
-    name: str = ""
+class MeridianPresentation(Record):
+    __slots__ = ("genus", "y", "z", "name")
 
-    def __post_init__(self):
-        n = 2 * self.genus
-        if self.genus < 1:
-            raise ParseError(f"genus must be positive, got {self.genus}", 1)
-        if len(self.y) != n or len(self.z) != n:
-            raise ParseError(f"need {n} relation pairs, got {len(self.y)}/{len(self.z)}", 1)
-        for side, words in (("y", self.y), ("z", self.z)):
+    def __init__(self, genus: int, y: tuple[Word, ...], z: tuple[Word, ...], name: str = ""):
+        self.genus, self.y, self.z, self.name = genus, y, z, name
+        n = 2 * genus
+        if genus < 1:
+            raise ParseError(f"genus must be positive, got {genus}", 1)
+        if len(y) != n or len(z) != n:
+            raise ParseError(f"need {n} relation pairs, got {len(y)}/{len(z)}", 1)
+        for side, words in (("y", y), ("z", z)):
             for i, w in enumerate(words, start=1):
                 for g in w.generators():
                     if g == 0:
@@ -183,8 +179,7 @@ def builtin_names() -> list[str]:
 NielsenKind = Literal["swap", "invert", "left-multiply", "right-multiply"]
 
 
-@dataclass(frozen=True)
-class NielsenMove:
+class NielsenMove(Record):
     """Elementary basis change of the free group on x_1..x_{2g}.
 
     swap(i, j):            x_i' = x_j,  x_j' = x_i
@@ -193,14 +188,13 @@ class NielsenMove:
     right-multiply(i, j):  x_i' = x_i x_j
     """
 
-    kind: NielsenKind
-    i: int
-    j: int = 0
+    __slots__ = ("kind", "i", "j")
 
-    def __post_init__(self):
-        if self.kind not in ("swap", "invert", "left-multiply", "right-multiply"):
-            raise ValueError(f"unknown Nielsen move kind {self.kind!r}")
-        if self.kind != "invert" and self.i == self.j:
+    def __init__(self, kind: NielsenKind, i: int, j: int = 0):
+        self.kind, self.i, self.j = kind, i, j
+        if kind not in ("swap", "invert", "left-multiply", "right-multiply"):
+            raise ValueError(f"unknown Nielsen move kind {kind!r}")
+        if kind != "invert" and i == j:
             raise ValueError("swap/multiply moves need distinct indices")
 
     def inverse_substitution(self, rank: int) -> dict[int, Word]:
@@ -272,13 +266,13 @@ def conjugate_presentation(p: MeridianPresentation, h: Word) -> MeridianPresenta
     return MeridianPresentation(p.genus, ys, zs, name=p.name)
 
 
-@dataclass(frozen=True)
-class RepViolation:
+class RepViolation(Record):
     """First failing relation when checking a representation."""
 
-    index: int
-    expected: tuple[int, ...]
-    got: tuple[int, ...]
+    __slots__ = ("index", "expected", "got")
+
+    def __init__(self, index: int, expected: tuple[int, ...], got: tuple[int, ...]):
+        self.index, self.expected, self.got = index, expected, got
 
     def __str__(self) -> str:
         return (f"relation {self.index}: kappa(rho(y_{self.index})) = {self.got} "

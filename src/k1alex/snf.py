@@ -15,12 +15,13 @@ characters, from cached tables; the polynomial routines invert its images
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product, zip_longest
 from math import gcd, prod
 from operator import add, getitem
 from typing import Mapping, Sequence
+
+from .words import Record
 
 
 class SNFError(RuntimeError):
@@ -85,17 +86,16 @@ class IntMatrix:
         return f"IntMatrix({self.rows})"
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """U @ A @ V = D with U, V unimodular and D diagonal, d_1 | d_2 | ...
 
     ``U_inv`` is the exact inverse of U, accumulated alongside it.
     """
 
-    U: IntMatrix
-    U_inv: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ("U", "U_inv", "D", "V")
+
+    def __init__(self, U: IntMatrix, U_inv: IntMatrix, D: IntMatrix, V: IntMatrix):
+        self.U, self.U_inv, self.D, self.V = U, U_inv, D, V
 
     @property
     def divisors(self) -> list[int]:

@@ -1,4 +1,4 @@
-"""Free group words and substitution.
+"""Free group words and substitution; :class:`Record`, the base of the library's records.
 
 Words live in the free group on generators x_1, ..., x_{2g} together with a
 distinguished meridian letter m.  A word is stored run-length compressed, as a
@@ -13,7 +13,6 @@ into Z[H], and the cover homology reads exponent sums off the words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 MERIDIAN = 0
@@ -40,11 +39,36 @@ def _compress(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Record:
+    """Base of the library's records: ``__slots__`` names the fields, which
+    the subclass's ``__init__`` sets.  Records of one class compare, and
+    hash, by their fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Word(Record):
     """A freely reduced word, run-length compressed."""
 
-    letters: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[tuple[int, int], ...] = ()):
+        self.letters = letters
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(_compress(self.letters + other.letters))

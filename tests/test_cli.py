@@ -1,9 +1,14 @@
 """Command-line interface: outputs, schema, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import k1alex
 from k1alex.cli import main
 
 from test_stabilization import STABILIZED_5_2
@@ -13,6 +18,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_loads_no_dataclasses():
+    """The records are plain slotted classes: importing the package and its
+    CLI, without site, loads no dataclasses module."""
+    code = ("import sys, k1alex, k1alex.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(k1alex.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_list(capsys):

@@ -1,7 +1,6 @@
 """Smith normal form and cover-derived metabelian representations."""
 
 import random
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -9,6 +8,7 @@ import pytest
 from k1alex import (
     IntMatrix,
     MetabelianRepError,
+    SNFResult,
     alexander_presentation,
     apply_nielsen,
     builtin,
@@ -18,7 +18,7 @@ from k1alex import (
     trivial_rep,
     validate_rep,
 )
-from k1alex.grouprings import GroupAut
+from k1alex.grouprings import FiniteAbelianGroup, GroupAut
 from k1alex.presentation import NielsenMove
 from k1alex.snf import SNFError, _verify_snf
 
@@ -201,8 +201,10 @@ def test_snf_check_catches_a_corrupted_factor():
             for j in range(M.ncols):
                 rows = [row[:] for row in M.rows]
                 rows[i][j] += 1
+                factors = {"U": r.U, "U_inv": r.U_inv, "D": r.D, "V": r.V,
+                           name: IntMatrix(rows)}
                 with pytest.raises(SNFError):
-                    _verify_snf(A, replace(r, **{name: IntMatrix(rows)}))
+                    _verify_snf(A, SNFResult(**factors))
 
 
 def test_alexander_presentation_torsion():
@@ -328,6 +330,21 @@ def test_metabelian_rep_builds_no_table_for_a_large_group(monkeypatch):
     assert rep.group.order == 710645
     assert calls[0] < 1000
     assert rep.kappa._perm is None
+
+
+def test_equal_reps_hash_equal():
+    """A rep built twice is one dict key; kappa hashes by its action, so
+    matrices that agree modulo the divisors hash alike."""
+    a, b = metabelian_rep(builtin("4_1"), 3), metabelian_rep(builtin("4_1"), 3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a: 1, b: 2}) == 1
+    assert a != metabelian_rep(builtin("4_1"), 4)
+    for divisors, matrices in (([5], ([[4]], [[-1]], [[9]])),
+                               ([3, 21], ([[1, 0], [0, 1]], [[4, 0], [21, 22]]))):
+        H = FiniteAbelianGroup(divisors)
+        auts = [GroupAut(H, m) for m in matrices]
+        assert all(k == auts[0] and hash(k) == hash(auts[0]) for k in auts)
+        assert len(set(auts)) == 1
 
 
 def test_trivial_rep_basics():

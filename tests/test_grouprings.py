@@ -65,6 +65,43 @@ def test_constructor_sums_keys_that_normalize_alike():
     assert (half.den, half.nums) == (2, {(1,): 1})
 
 
+def _fraction_constructor_oracle(group, coeffs):
+    """(den, nums) as the constructor built them with one Fraction per term."""
+    summed = {}
+    for e, c in coeffs.items():
+        e = tuple(x % d for x, d in zip(e, group.divisors))
+        summed[e] = summed.get(e, 0) + Fraction(c)
+    den = 1
+    for c in summed.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    return den, {e: int(c * den) for e, c in summed.items() if c}
+
+
+@pytest.mark.parametrize("divisors", [(), (5,), (3, 21), (2, 4, 8)])
+def test_constructor_matches_the_fraction_oracle(divisors):
+    """int, Fraction and str coefficients, keys unreduced or negative, keys
+    that merge after reduction and sums that cancel."""
+    rng = random.Random(sum(divisors) + 7)
+    H = FiniteAbelianGroup(divisors)
+    for trial in range(300):
+        coeffs = {}
+        for _ in range(rng.randint(0, 6)):
+            e = tuple(rng.randrange(-2 * d, 2 * d) for d in divisors)
+            kind = rng.randrange(3)
+            c = (rng.randint(-3, 3) if kind == 0
+                 else Fraction(rng.randint(-6, 6), rng.randint(1, 6)) if kind == 1
+                 else f"{rng.randint(-6, 6)}/{rng.randint(1, 6)}")
+            coeffs[e] = c
+            if rng.random() < 0.3:  # the same element again, with the opposite sign
+                coeffs[tuple(x + d for x, d in zip(e, divisors))] = (
+                    -c if kind < 2 else "-" + c.lstrip("-"))
+        a = GroupAlgebraElem(H, coeffs)
+        assert (a.den, a.nums) == _fraction_constructor_oracle(H, coeffs)
+        assert type(a.den) is int and all(type(n) is int for n in a.nums.values())
+    with pytest.raises(GroupError):
+        GroupAlgebraElem(H, {(0,) * (len(divisors) + 1): 1})
+
+
 def test_gr_mul_examples():
     H, _ = z5_negation()
     x2, x4 = ga(H, {(2,): 1}), ga(H, {(4,): 1})

@@ -11,6 +11,7 @@ from k1alex import (
     GroupAlgebraElem,
     GroupAut,
     GroupError,
+    K1Report,
     NovikovMatrix,
     NovikovSeries,
     LaurentPolyGA,
@@ -559,6 +560,21 @@ def test_compute_takes_one_det_per_period(monkeypatch, name, n, periods):
     assert [U.period for U in calls] == periods
     assert poly == canonical_form(det_commutative(upsilon_matrix(
         build_fox_matrix(p, rep, PREC), n)))
+
+
+def test_reports_never_share_lists():
+    a, b = K1Report("yes", PREC), K1Report("yes", PREC)
+    assert a == b and a.diagonal == a.pivot_trace == []
+    assert a.diagonal is not b.diagonal and a.pivot_trace is not b.pivot_trace
+    a.diagonal.append(None)
+    a.invertible = "no"
+    assert b.diagonal == [] and b.invertible == "yes" and a != b
+    with pytest.raises(TypeError):
+        hash(a)
+    p = builtin("4_1")
+    r1, r2 = (k1_invariant(p, metabelian_rep(p, 2), PREC) for _ in range(2))
+    assert r1.diagonal is not r2.diagonal and r1.pivot_trace is not r2.pivot_trace
+    assert r1.pivot_trace == r2.pivot_trace
 
 
 def test_pivot_trace_records_witt_type():

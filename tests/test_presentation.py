@@ -200,6 +200,43 @@ def test_validate_rep_reports_first_violation():
     assert violation is not None and violation.index == 1
 
 
+def test_equal_presentations_compare_and_hash_equal():
+    for name in builtin_names():
+        p = builtin(name)
+        q = parse_presentation(serialize_presentation(p), name=p.name)
+        assert q is not p and q == p and hash(q) == hash(p)
+        assert len({p, q}) == 1
+    p = builtin("4_1")
+    assert MeridianPresentation(p.genus, p.y, p.z, "other") != p
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: MeridianPresentation(0, (), ()), ParseError,
+     "line 1, column 1: genus must be positive, got 0"),
+    (lambda: MeridianPresentation(1, (gen(1),), (gen(1), gen(2))), ParseError,
+     "line 1, column 1: need 2 relation pairs, got 1/2"),
+    (lambda: MeridianPresentation(1, (gen(1), gen(0)), (gen(1), gen(2))), ParseError,
+     "line 1, column 1: meridian letter inside y2"),
+    (lambda: MeridianPresentation(1, (gen(1), gen(2)), (gen(3), gen(2))), ParseError,
+     "line 1, column 1: generator x3 out of range in z1"),
+    (lambda: NielsenMove("rotate", 1, 2), ValueError, "unknown Nielsen move kind 'rotate'"),
+    (lambda: NielsenMove("swap", 2, 2), ValueError, "swap/multiply moves need distinct indices"),
+    (lambda: NielsenMove("right-multiply", 3, 3), ValueError,
+     "swap/multiply moves need distinct indices"),
+], ids=["genus", "pairs", "meridian", "range", "kind", "swap", "multiply"])
+def test_records_reject_invalid_fields(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_nielsen_moves_compare_and_hash_by_value():
+    assert NielsenMove("invert", 1) == NielsenMove("invert", 1, 0)
+    assert hash(NielsenMove("swap", 1, 2)) == hash(NielsenMove("swap", 1, 2))
+    assert NielsenMove("swap", 1, 2) != NielsenMove("swap", 2, 1)
+    assert repr(NielsenMove("swap", 1, 2)) == "NielsenMove(kind='swap', i=1, j=2)"
+
+
 def test_validate_rep_rank_mismatch_raises():
     p = builtin("4_1")
     H = FiniteAbelianGroup([5])

@@ -47,6 +47,16 @@ def test_invert_examples():
     assert gen(1, -1).inverse() == x1
 
 
+def test_equal_words_compare_and_hash_equal():
+    rng = random.Random(2)
+    for _ in range(100):
+        a, b = rand_word(rng, 3), rand_word(rng, 3)
+        ab = reduce([*a.letters, *b.letters])
+        assert ab == a * b and hash(ab) == hash(a * b)
+        assert len({ab, a * b, a * b * IDENTITY}) == 1
+    assert x1 != x2 and x1 != x1.letters
+
+
 def test_word_group_axioms_random():
     rng = random.Random(1)
     for _ in range(300):
