@@ -102,28 +102,36 @@ class K1Report(Record):
         self.delta, self.unit_part, self.degree, self.witt, self.logs = (
             delta, unit_part, degree, witt, logs)
 
-    def witt_pivots_only(self) -> bool:
-        return all(s.witt_type for s in self.pivot_trace)
-
 
 def fox_image(rep: MetaRep, w: Word, i: int) -> GroupAlgebraElem:
-    """rho(dw/dx_i) in Z[H], taken in one pass over the word.
+    """rho(dw/dx_i) in Z[H], taken in one pass over the word's syllables.
 
     rho applied to d(uv)/dx_i = du/dx_i + u dv/dx_i: each letter x_i adds
     +rho(prefix before it), each x_i^-1 adds -rho(prefix through it).  The
     word must be in x_1 .. x_rank; H is abelian, so rho(prefix) is the sum
-    of the letter images read so far.
+    of the letter images read so far.  The points of a syllable x_i^e are
+    p + k d, which repeat with the order c of d, so the walk stops when it
+    closes and each point takes q or q + 1 of the |e| letters, (q, r) =
+    divmod(|e|, c): a syllable costs O(min(|e|, c)), not O(|e|).
     """
     g, images = rep.group, dict(enumerate(rep.images, 1))
     out: dict = {}
     prefix = g.identity()
-    for gen, step in w.syllables():
+    for gen, e in w.letters:
         img = images[gen]
-        after = g.add(prefix, img if step > 0 else g.neg(img))
         if gen == i:
-            e = prefix if step > 0 else after
-            out[e] = out.get(e, 0) + step
-        prefix = after
+            d = img if e > 0 else g.neg(img)
+            cycle = [prefix if e > 0 else g.add(prefix, d)]
+            while len(cycle) < abs(e):
+                point = g.add(cycle[-1], d)
+                if point == cycle[0]:
+                    break
+                cycle.append(point)
+            q, r = divmod(abs(e), len(cycle))
+            step = 1 if e > 0 else -1
+            for k, point in enumerate(cycle):
+                out[point] = out.get(point, 0) + step * (q + (k < r))
+        prefix = g.add(prefix, g.scale(img, e))
     return GroupAlgebraElem(g, out)
 
 
@@ -324,10 +332,6 @@ class ObstructionReport(Record):
 
     def __init__(self, verdicts: tuple[str, ...], summary: str):  # "invertible" | "not-invertible"
         self.verdicts, self.summary = verdicts, summary
-
-    @property
-    def certified_nonfibered(self) -> bool:
-        return "not-invertible" in self.verdicts
 
 
 def fibered_obstruction(p: MeridianPresentation, reps: Sequence[MetaRep]) -> ObstructionReport:

@@ -211,15 +211,6 @@ class NielsenMove(Record):
         # x_i' = x_i x_j  =>  x_i = x_i' x_j'^-1
         return {self.i: gen(self.i) * gen(self.j, -1)}
 
-    def inverse_sequence(self) -> list["NielsenMove"]:
-        """Moves undoing this one: itself for swap/invert; a multiply move is
-        undone by invert(j), the same move, invert(j)."""
-        if self.kind in ("swap", "invert"):
-            return [self]
-        return [NielsenMove("invert", self.j),
-                NielsenMove(self.kind, self.i, self.j),
-                NielsenMove("invert", self.j)]
-
 
 def apply_nielsen(p: MeridianPresentation, move: NielsenMove) -> MeridianPresentation:
     """Rewrite a presentation in the Nielsen-transformed basis."""

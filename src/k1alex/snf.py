@@ -8,17 +8,18 @@ finite group H off the cover homology (:mod:`k1alex.cover`) and decides that
 an endomorphism of H is onto (:class:`~k1alex.grouprings.GroupAut`).  Every
 factorization is re-verified exactly before it is returned.  The character
 transform takes Z[H] to Z[x]/Phi_m, one cyclotomic ring per Galois orbit of
-characters, from cached tables; the polynomial routines invert its images
-(:func:`~k1alex.grouprings.gr_inverse`) without leaving the integers.
+characters, each image reduced by one division by the monic Phi_m; the
+polynomial routines invert its images (:func:`~k1alex.grouprings.gr_inverse`)
+without leaving the integers.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import compress, product, zip_longest
+from itertools import product, zip_longest
 from math import gcd, prod
-from operator import add, getitem
+from operator import getitem
 from typing import Mapping, Sequence
 
 from .words import Record
@@ -295,18 +296,10 @@ def cyclotomic(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _character_tables(divisors: tuple[int, ...], orbits: tuple) -> tuple[tuple, ...]:
-    """Per character (m, u) in ``orbits``: m, phi(m), per factor i the list
-    u_i h mod m for h < d_i, and the residues of x^k mod Phi_m for
-    phi(m) <= k < m, each phi(m) coefficients long."""
-    out = []
-    for m, u in orbits:
-        f = cyclotomic(m)
-        phi, high = len(f) - 1, []
-        for k in range(phi, m):
-            r = pdivmod([0] * k + [1], f)[2]
-            high.append(r + [0] * (phi - len(r)))
-        out.append((m, phi, [[x * h % m for h in range(d)] for x, d in zip(u, divisors)], high))
-    return tuple(out)
+    """Per character (m, u) in ``orbits``: m, Phi_m, and per factor i the
+    list u_i h mod m for h < d_i."""
+    return tuple((m, cyclotomic(m), [[x * h % m for h in range(d)] for x, d in zip(u, divisors)])
+                 for m, u in orbits)
 
 
 def character_transform(divisors: tuple[int, ...], orbits: tuple,
@@ -316,12 +309,13 @@ def character_transform(divisors: tuple[int, ...], orbits: tuple,
     zeta_m^(u . h)), reduced below degree phi(m) and without trailing
     zeros; the empty list is zero.
 
-    Each term adds its value at index u . h mod m, read from one table per
-    factor (:func:`_character_tables`); the indices k >= phi(m) then add
-    their value times the tabulated residue of x^k mod Phi_m.
+    Each term adds its value at index u . h mod m of a length-m vector,
+    read from one table per factor (:func:`_character_tables`); the vector
+    is then divided by the monic Phi_m (:func:`pdivmod`), and the remainder
+    is the image.
     """
     images, items, rank = [], nums.items(), len(divisors)
-    for m, phi, tables, high in _character_tables(divisors, orbits):
+    for m, f, tables in _character_tables(divisors, orbits):
         vec = [0] * m
         if rank == 1:
             (s,) = tables
@@ -334,12 +328,7 @@ def character_transform(divisors: tuple[int, ...], orbits: tuple,
         else:
             for e, n in items:
                 vec[sum(map(getitem, tables, e)) % m] += n
-        image, rest = vec[:phi], vec[phi:]
-        for c, r in compress(zip(rest, high), rest):
-            image = list(map(add, image, map(c.__mul__, r)))
-        while image and not image[-1]:
-            image.pop()
-        images.append(image)
+        images.append(pdivmod(vec, f)[2])
     return images
 
 

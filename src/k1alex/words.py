@@ -13,7 +13,7 @@ into Z[H], and the cover homology reads exponent sums off the words.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 MERIDIAN = 0
 
@@ -93,13 +93,6 @@ class Word(Record):
 
     def exponent_sum(self, gen: int) -> int:
         return sum(e for g, e in self.letters if g == gen)
-
-    def syllables(self) -> Iterator[tuple[int, int]]:
-        """Yield single letters (gen, +-1) left to right."""
-        for g, e in self.letters:
-            step = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                yield g, step
 
     def __str__(self) -> str:
         if not self.letters:

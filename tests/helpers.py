@@ -17,6 +17,7 @@ from k1alex import (
     GroupAut,
     LaurentPolyGA,
     LogClass,
+    NielsenMove,
     UpsilonMatrix,
     Word,
     orbit_project,
@@ -203,11 +204,43 @@ def rand_word(rng: random.Random, rank: int, max_len: int = 8) -> Word:
     return word(*letters)
 
 
+def single_letters(w: Word) -> list[tuple[int, int]]:
+    """The letters (gen, +-1) of w, left to right."""
+    return [(g, 1 if e > 0 else -1) for g, e in w.letters for _ in range(abs(e))]
+
+
+def fox_image_by_letters(rep, w: Word, i: int) -> GroupAlgebraElem:
+    """rho(dw/dx_i) in Z[H], one letter at a time: each x_i adds
+    +rho(prefix before it), each x_i^-1 adds -rho(prefix through it).  The
+    oracle for ``k1core.fox_image``, which walks whole syllables."""
+    g, images = rep.group, dict(enumerate(rep.images, 1))
+    out: dict = {}
+    prefix = g.identity()
+    for gen, step in single_letters(w):
+        img = images[gen]
+        after = g.add(prefix, img if step > 0 else g.neg(img))
+        if gen == i:
+            e = prefix if step > 0 else after
+            out[e] = out.get(e, 0) + step
+        prefix = after
+    return GroupAlgebraElem(g, out)
+
+
+def nielsen_inverse_sequence(move: NielsenMove) -> list[NielsenMove]:
+    """Moves undoing ``move``: itself for swap/invert; a multiply move is
+    undone by invert(j), the same move, invert(j)."""
+    if move.kind in ("swap", "invert"):
+        return [move]
+    return [NielsenMove("invert", move.j),
+            NielsenMove(move.kind, move.i, move.j),
+            NielsenMove("invert", move.j)]
+
+
 def fox_derivative_oracle(w: Word, i: int) -> dict[Word, int]:
     """dw/dx_i in Z[F] as {word: coefficient}, from the defining rules alone:
     dx_i/dx_i = 1, d(x_i^-1)/dx_i = -x_i^-1, other letters 0, and
     d(uv) = du + u dv applied to the two halves of w."""
-    letters = list(w.syllables())
+    letters = single_letters(w)
     if len(letters) <= 1:
         if not letters or letters[0][0] != i:
             return {}
@@ -339,7 +372,8 @@ def unit_by_rank(a) -> bool:
 def character_images_oracle(a) -> list[list[int]]:
     """chi(a.den * a) per character (m, u) of ``character_orbits``: each
     term added at the generator sum u . h mod m, then one pseudo-division by
-    the monic Phi_m.  The oracle for the table-driven character transform."""
+    the monic Phi_m.  The oracle for the character transform, which reads
+    each index off per-factor lists instead of summing."""
     images = []
     for m, u in character_orbits(a.group):
         vec = [0] * m

@@ -725,12 +725,13 @@ def test_character_orbits_split_the_group(divisors):
 
 
 @pytest.mark.parametrize("divisors", [(), (2,), (6,), (2, 2), (4, 4), (3, 21), (5, 35),
-                                      (11, 11), (2, 4, 8)])
+                                      (11, 11), (2, 4, 8), (315,)])
 def test_character_images_match_the_pdivmod_oracle(divisors):
-    """The table-driven transform equals the generator sum and division by
+    """The character transform equals the generator sum and division by
     Phi_m (helpers.character_images_oracle) on seeded elements of 1 to |H|
     terms, with big and small numerators, and on zero divisors, whose images
-    vanish on some orbits."""
+    vanish on some orbits.  At m = 315 the length-m vector reaches past
+    degree 2 phi(m) = 288."""
     rng = random.Random(sum(divisors) + 5)
     H = FiniteAbelianGroup(divisors)
     one = GroupAlgebraElem.one(H)

@@ -24,7 +24,7 @@ from k1alex import (
 )
 from k1alex.grouprings import FiniteAbelianGroup, GroupAut, MetaRep
 
-from helpers import rand_word
+from helpers import nielsen_inverse_sequence, rand_word
 
 
 def test_parse_trefoil_text_matches_builtin():
@@ -115,7 +115,7 @@ def test_nielsen_multiply_inverse_sequence():
     for kind in ("left-multiply", "right-multiply"):
         mv = NielsenMove(kind, 1, 2)
         q = apply_nielsen(p, mv)
-        for step in mv.inverse_sequence():
+        for step in nielsen_inverse_sequence(mv):
             q = apply_nielsen(q, step)
         assert q == p
 

@@ -13,10 +13,11 @@ from k1alex import (
     fox_image,
     gen,
     reduce,
+    word,
 )
 from k1alex.words import IDENTITY, substitute
 
-from helpers import fox_derivative_oracle, rand_element, rand_word
+from helpers import fox_derivative_oracle, fox_image_by_letters, rand_element, rand_word
 
 x1, x2, x3 = gen(1), gen(2), gen(3)
 
@@ -103,6 +104,20 @@ def test_fox_image_matches_free_ring_oracle():
                 for t, c in fox_derivative_oracle(w, i).items():
                     expected = expected + _rho(rep, t).scale(c)
                 assert fox_image(rep, w, i) == expected
+
+
+def test_fox_image_matches_the_letter_walk_on_long_syllables():
+    """Syllables with exponents up to +-3 o, o the exponent of H, so that
+    their points wrap around the cycle of the letter image zero to three
+    times, against helpers.fox_image_by_letters."""
+    rng = random.Random(7)
+    for _ in range(60):
+        for rep in _reps(rng):
+            o = max(rep.group.divisors)
+            w = word(*((rng.randint(1, 3), rng.choice((1, -1)) * rng.randint(1, 3 * o))
+                       for _ in range(rng.randint(1, 5))))
+            for i in (1, 2, 3):
+                assert fox_image(rep, w, i) == fox_image_by_letters(rep, w, i)
 
 
 def test_fox_fundamental_identity_random():
