@@ -12,30 +12,28 @@ homomorphism; applying it entrywise to a relation matrix and taking an exact
 division-free determinant over Q[H][t, t^-1] yields the metafinite Alexander
 polynomial, well defined up to unit monomials c * t^a * h.
 
-Q[H] has zero divisors, so the determinant uses a division-free minor
-expansion, memoized over the sets of used columns.  The number of live sets
-depends only on the order the rows are visited in.  A relation entry
-a + b tau maps to a block with two cyclic diagonals, one of which wraps
-around a corner, so visiting Upsilon block by block keeps every block's
-columns open across its N rows and the table grows exponentially in N.
-The rows are instead taken greedily by the fewest open columns, which
-interleaves the n blocks so that they advance together, a row of each in
-turn; column sets that miss a column no later row can fill are dropped.
-The width then stays bounded in N.  The expansion runs on plain
-{degree: coefficient} maps, and the grid it reads holds each relation
-term's N monomials, with one shared zero polynomial everywhere else.
+Q[H] has zero divisors, so the determinant is a division-free minor
+expansion on integer numerators, memoized over the sets of used columns
+(:func:`det_commutative`): the rows are taken in a greedy order that keeps
+the number of live sets bounded in N, and a minor is a frame c * g * t^s *
+base over a shared base map, so a monomial cell touches no dict.  The grid
+it reads holds each relation term's N monomials, with one shared zero
+polynomial everywhere else.
 
 :func:`det_upsilon`, the one route to det Upsilon, is a pure function of
-the matrix and the period.  ``k1alex compute`` takes each determinant once:
-:func:`metafinite_polynomial` reads the determinant
-:func:`~k1alex.k1core.k1_invariant` just took from the one memo of the
-latest job, in :mod:`k1alex.k1core`.  Invertibility of a Laurent polynomial
-over Q[H]((t)) is decided exactly on the characters of H.
+the matrix and the period.  At a period N = k ord kappa, det Upsilon is the
+norm of det Upsilon at ord kappa, one k x k determinant (:func:`_norm`), so
+``k1alex compute`` untwists only at ord kappa: :func:`metafinite_polynomial`
+reads the determinant :func:`~k1alex.k1core.k1_invariant` just took from
+the one memo of the latest job, in :mod:`k1alex.k1core`.  Invertibility of
+a Laurent polynomial over Q[H]((t)) is decided exactly on the characters of H.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add, mod
 from typing import Mapping, Sequence
 
 from .grouprings import (
@@ -142,7 +140,7 @@ class LaurentPolyGA:
 
 
 class UpsilonMatrix:
-    """(n*N) x (n*N) grid of commutative Laurent polynomials, block built."""
+    """Grid of commutative Laurent polynomials: Upsilon's blocks, or a norm's."""
 
     __slots__ = ("entries", "group", "period")
 
@@ -240,35 +238,53 @@ def _row_order(supports: Sequence[int]) -> tuple[list[int], int]:
     return order, -1 if inversions % 2 else 1
 
 
+def _adder(divisors: tuple[int, ...]):
+    """g + h on H, unrolled on rank 2."""
+    if len(divisors) == 2:
+        return lambda a, b, d=divisors[0], e=divisors[1]: ((a[0] + b[0]) % d, (a[1] + b[1]) % e)
+    return lambda a, b: tuple(map(mod, map(add, a, b), divisors))
+
+
+def _add_frame(acc: dict, g, c: int, s: int, base: dict, divisors) -> None:
+    """acc += c * g * t^s * base, on {degree: {element: int}} maps."""
+    for d, nums in base.items():
+        moved, out = translate(nums, g, divisors), acc.get(d + s)
+        if out is None:  # translate's own dict when it made one and c = 1
+            acc[d + s] = {k: c * v for k, v in moved.items()} if c != 1 or moved is nums else moved
+        else:
+            for k, v in moved.items():
+                out[k] = out.get(k, 0) + c * v
+
+
 def det_commutative(U: UpsilonMatrix) -> LaurentPolyGA:
     """Exact determinant over Q[H][t, t^-1], division free.
 
-    Minor expansion across rows with memoization over the set of used
-    columns: no divisions ever occur, so zero divisors in Q[H] are harmless.
-    The table holds one minor per live column set, so its width depends on
-    the order the rows are visited in.  That order is chosen greedily from
-    the zero pattern (:func:`_row_order`), and the result is multiplied by
-    its sign.  Walking Upsilon block by block would keep every N x N cyclic
-    block open across its N rows (tau^1 wraps around a corner) and the
-    width would grow exponentially in N; the greedy order interleaves the n
-    blocks, taking a row of each in turn, so only a band of columns of
-    bounded width is open at a time.  A column set is dropped as soon as it
-    misses a column no later row can fill, and a zero column gives zero at
-    once.  Multiplicative and alternating like any determinant.
-
-    The table runs on plain maps: a minor is ``{degree: coefficient}``, and
-    a row is its nonzero cells as (column, bit, terms, negated terms), the
-    negated copy serving the expansion's odd-sign positions, so the inner
-    loop makes only the Q[H] products and sums themselves.
+    Minor expansion across rows, memoized over the sets of used columns.
+    The rows go in a greedy order (:func:`_row_order`, whose sign the result
+    takes) that advances Upsilon's n blocks a row of each in turn, so the
+    live column sets stay bounded in N where block by block they grow
+    exponentially (tau^1 wraps a corner); a set missing a column no later
+    row can fill is dropped.  Row r is scaled by L_r, the lcm of its
+    denominators, and det U over prod L_r is put in lowest terms once per
+    degree.  A minor is a frame (g, c, s, base) worth c * g * t^s * base,
+    base a shared ``{degree: {element: int}}`` map: a monomial cell v h t^l
+    makes (g + h, +-c v, s + l, base) and touches no dict.  Where a second
+    term meets a frame, or a cell has more terms, the frame becomes a map
+    of its own; a cell of more than two terms multiplies through
+    :meth:`GroupAlgebraElem.__mul__`, which may pack it.
     """
-    n = U.size
-    group = U.group
-    zero = LaurentPolyGA.zero(group)
-    if n == 0:
-        return LaurentPolyGA.one(group)
-    rows = [[(j, 1 << j, list(e.terms.items()), [(d, -c) for d, c in e.terms.items()])
-             for j, e in enumerate(row) if e.terms] for row in U.entries]
-    supports = [sum(bit for _, bit, _, _ in row) for row in rows]
+    n, group, divisors = U.size, U.group, U.group.divisors
+    zero, plus, den, rows = LaurentPolyGA.zero(group), _adder(divisors), 1, []
+    for row in U.entries:
+        cells = [(j, e.terms) for j, e in enumerate(row) if e.terms]
+        scale = lcm(*(c.den for _, cell in cells for c in cell.values()))
+        den *= scale
+        cells = [(j, [(d, c.scale(scale) if scale > 1 else c) for d, c in cell.items()])
+                 for j, cell in cells]
+        # (column, bit, (degree, element, int) terms, integer Q[H] elements by degree)
+        rows.append([(j, 1 << j, [(d, h, v) for d, c in cell for h, v in c.nums.items()], cell)
+                     for j, cell in cells])
+    supports = [sum(cell[1] for cell in row) for row in rows]
     full = (1 << n) - 1
     order, sign = _row_order(supports)
     # fillable[k]: columns some row at position >= k of the order touches
@@ -277,40 +293,50 @@ def det_commutative(U: UpsilonMatrix) -> LaurentPolyGA:
         fillable[k] = fillable[k + 1] | supports[order[k]]
     if fillable[0] != full:
         return zero
-    frontier: dict[int, dict[int, GroupAlgebraElem]] = {0: {0: GroupAlgebraElem.one(group)}}
+    identity = group.identity()
+    frontier = {0: (identity, 1, 0, {0: {identity: 1}})}
     for k, r in enumerate(order):
         # a column set must already hold every column the rest cannot fill
         must = full & ~fillable[k + 1]
-        nxt: dict[int, dict[int, GroupAlgebraElem]] = {}
-        for mask, minor in frontier.items():
-            minor_terms = list(minor.items())
-            for j, bit, plus, minus in rows[r]:
-                if mask & bit:
-                    continue
+        nxt: dict = {}
+        for mask, (g, c, s, base) in frontier.items():
+            for j, bit, terms, by_degree in rows[r]:
                 key = mask | bit
-                if key & must != must:
+                if mask & bit or key & must != must:
                     continue
-                terms = minus if (mask >> (j + 1)).bit_count() & 1 else plus
+                sc = -c if (mask >> (j + 1)).bit_count() & 1 else c
                 acc = nxt.get(key)
-                if acc is None:
-                    acc = nxt[key] = {}
-                for d1, c1 in minor_terms:
-                    for d2, c2 in terms:
-                        d = d1 + d2
-                        c = c1 * c2
-                        s = acc.get(d)
-                        acc[d] = c if s is None else s + c
+                if acc is None and len(terms) == 1:
+                    ((ell, h, v),) = terms
+                    nxt[key] = (plus(g, h), sc * v, s + ell, base)
+                    continue
+                if type(acc) is not dict:  # a map of its own, from the first frame
+                    lazy, acc = acc, {}
+                    nxt[key] = acc
+                    if lazy:
+                        _add_frame(acc, *lazy, divisors)
+                if len(terms) <= 2:
+                    for ell, h, v in terms:
+                        _add_frame(acc, plus(g, h), sc * v, s + ell, base, divisors)
+                    continue
+                for d, nums in base.items():
+                    b = GroupAlgebraElem._make(group, 1, nums, reduced=True)
+                    for ell, x in by_degree:
+                        _add_frame(acc, g, sc, s, {d + ell: (b * x).nums}, divisors)
         frontier = {}
-        for mask, minor in nxt.items():
-            minor = {d: c for d, c in minor.items() if c}
-            if minor:
-                frontier[mask] = minor
+        for key, acc in nxt.items():
+            if type(acc) is dict:  # drop the zeros where terms met
+                acc = (identity, 1, 0, {d: nz for d, nums in acc.items() if (nz := {
+                    h: v for h, v in nums.items() if v} if 0 in nums.values() else nums)})
+            if acc[3]:
+                frontier[key] = acc
         if not frontier:
             return zero
-    det = frontier.get(full)
-    if det is None:
-        return zero
-    return LaurentPolyGA(group, det if sign > 0 else {d: -c for d, c in det.items()})
+    # the last row's column sets all hold every column
+    ((g, c, s, base),), out = frontier.values(), {}
+    _add_frame(out, g, c * sign, s, base, divisors)
+    return LaurentPolyGA(group, {d: GroupAlgebraElem._make(group, den, nums)
+                                 for d, nums in out.items()})
 
 
 def canonical_form(p: LaurentPolyGA) -> LaurentPolyGA:
@@ -389,21 +415,36 @@ def det_upsilon(mx: NovikovMatrix, period: int) -> LaurentPolyGA:
     return det_commutative(upsilon_matrix(mx, period))
 
 
-def metafinite_polynomial(p: MeridianPresentation, rep: MetaRep) -> LaurentPolyGA:
-    """Commutative determinant of the untwisted relation matrix.
+def _norm(P: LaurentPolyGA, order: int, period: int) -> LaurentPolyGA:
+    """det Upsilon at ``period`` = k ``order`` from P, det Upsilon at
+    ``order``: the norm of P(s), s = t^order, down to Q[H][u], u = s^k =
+    t^period, as the det of the k x k matrix of multiplication by P on the
+    basis 1, s, ..., s^(k-1), its degrees in u scaled by ``period``."""
+    k, group = period // order, P.group
+    if period % order or any(d % order for d in P.terms):
+        raise GroupError(f"det Upsilon at period {order} has no norm to period {period}")
+    cells = [[{} for _ in range(k)] for _ in range(k)]
+    for d, c in P.terms.items():
+        for j in range(k):  # P s^j: c s^(d/order + j) = c u^q s^r
+            q, r = divmod(d // order + j, k)
+            cells[r][j][q] = c
+    det = det_commutative(UpsilonMatrix([[LaurentPolyGA(group, c) for c in row]
+                                         for row in cells], group, period))
+    return LaurentPolyGA(group, {d * period: c for d, c in det.terms.items()})
 
-    Computes det of the block image, at period ``rep.cover_n``, of the
-    relation matrix and returns its canonical form.  Right after
-    :func:`~k1alex.k1core.k1_invariant` on an equal (p, rep), the matrix and
-    its det Upsilon at ord kappa are the ones that call took
-    (:func:`~k1alex.k1core.latest_relation`): with ord kappa = N that
-    determinant is the answer, and at any other period the recorded matrix
-    is untwisted again (Upsilon reads only the tau^0 and tau^1 terms, so the
-    matrix's window does not matter).  Otherwise a matrix is built at
-    :data:`~k1alex.k1core.UPSILON_WINDOW`.  Comparisons should go through
+
+def metafinite_polynomial(p: MeridianPresentation, rep: MetaRep) -> LaurentPolyGA:
+    """Commutative determinant of the untwisted relation matrix at period
+    N = ``rep.cover_n``, in canonical form: det Upsilon at ord kappa, and at
+    N > ord kappa its norm (:func:`_norm`).  Right after
+    :func:`~k1alex.k1core.k1_invariant` on an equal (p, rep) the matrix and
+    that determinant are the ones it took (:func:`~k1alex.k1core.latest_relation`);
+    otherwise a matrix is built at :data:`~k1alex.k1core.UPSILON_WINDOW`,
+    Upsilon reading only tau^0 and tau^1.  Comparisons should go through
     :func:`poly_equiv`, since the class is only defined up to unit monomials.
     """
     matrix, det = latest_relation(p, rep) or (build_fox_matrix(p, rep, UPSILON_WINDOW), None)
-    if det is None or rep.cover_n != matrix.kappa.order:
-        det = det_upsilon(matrix, rep.cover_n)
-    return canonical_form(det)
+    order = matrix.kappa.order
+    if det is None:
+        det = det_upsilon(matrix, order)
+    return canonical_form(det if rep.cover_n == order else _norm(det, order, rep.cover_n))

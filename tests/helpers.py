@@ -209,6 +209,26 @@ def single_letters(w: Word) -> list[tuple[int, int]]:
     return [(g, 1 if e > 0 else -1) for g, e in w.letters for _ in range(abs(e))]
 
 
+def power_by_products(w: Word, n: int) -> Word:
+    """w^n as |n| successive products of w or w^-1, from the identity: the
+    oracle for ``Word.__pow__``."""
+    base = w if n > 0 else w.inverse()
+    out = word()
+    for _ in range(abs(n)):
+        out = out * base
+    return out
+
+
+def substitute_by_letters(w: Word, images: dict[int, Word]) -> Word:
+    """w with each single letter x_i^(+-1) replaced by images[i] or its
+    inverse, reduced once: the oracle for ``words.substitute``."""
+    out: list[tuple[int, int]] = []
+    for g, step in single_letters(w):
+        img = images.get(g, word((g, 1)))
+        out.extend((img if step > 0 else img.inverse()).letters)
+    return word(*out)
+
+
 def fox_image_by_letters(rep, w: Word, i: int) -> GroupAlgebraElem:
     """rho(dw/dx_i) in Z[H], one letter at a time: each x_i adds
     +rho(prefix before it), each x_i^-1 adds -rho(prefix through it).  The

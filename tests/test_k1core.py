@@ -452,23 +452,30 @@ def test_compute_builds_one_relation_matrix(monkeypatch):
 
 
 def test_shared_matrix_serves_both_periods(monkeypatch):
-    """On 3_1 N=9 (ord kappa = 3) the one matrix gives det Upsilon at
-    period 3 for the invariant and at period 9 for the polynomial."""
+    """On 3_1 N=9 (ord kappa = 3) the one matrix is untwisted once, at
+    period 3: its 6 x 6 det Upsilon serves the invariant, and the polynomial
+    at period 9 is that determinant's norm, one 3 x 3 determinant."""
     import k1alex.upsilon as upsilon
     builds = _count_builds(monkeypatch)
-    periods = []
+    untwists, dets = [], []
+    untwist, det = upsilon.upsilon_matrix, upsilon.det_commutative
 
-    def counting(U):
-        periods.append(U.period)
-        return det_commutative(U)
+    def counting_untwist(mx, period):
+        untwists.append(period)
+        return untwist(mx, period)
 
-    monkeypatch.setattr(upsilon, "det_commutative", counting)
+    def counting_det(U):
+        dets.append((U.period, U.size))
+        return det(U)
+
+    monkeypatch.setattr(upsilon, "upsilon_matrix", counting_untwist)
+    monkeypatch.setattr(upsilon, "det_commutative", counting_det)
     p = builtin("3_1")
     rep = metabelian_rep(p, 9)
     assert rep.kappa.order == 3
     assert k1_invariant(p, rep, 12).invertible == "yes"
     assert metafinite_polynomial(p, rep) == _cold_polynomial(p, rep)
-    assert (builds, periods) == ([12], [3, 9])
+    assert (builds, untwists, dets) == ([12], [3], [(3, 6), (9, 3)])
 
 
 def test_shared_matrix_is_never_stale(monkeypatch):
@@ -559,18 +566,21 @@ def test_yes_verdict_computes_det_once(monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("name,n,periods", [("4_1", 5, [5]), ("3_1", 9, [3, 9])])
+@pytest.mark.parametrize("name,n,periods", [("4_1", 5, [(5, 10)]),
+                                             ("3_1", 9, [(3, 6), (9, 3)])])
 def test_compute_takes_one_det_per_period(monkeypatch, name, n, periods):
     """k1_invariant then metafinite_polynomial, as ``k1alex compute`` calls
-    them: det Upsilon is computed once per distinct period.  On 4_1 N=5 ord
-    kappa = N and the metafinite polynomial reuses k1_invariant's
-    determinant; on 3_1 N=9 ord kappa = 3 and both periods run."""
+    them: Upsilon is taken once, at ord kappa, given as (period, size) of
+    each determinant.  On 4_1 N=5 ord kappa = N and the metafinite
+    polynomial reuses k1_invariant's determinant; on 3_1 N=9 ord kappa = 3
+    and the polynomial is its norm, a 3 x 3 determinant.  Either way it
+    equals det Upsilon taken at period N."""
     p = builtin(name)
     rep = metabelian_rep(p, n)
     calls = _count_det_calls(monkeypatch)
     k1_invariant(p, rep, PREC)
     poly = metafinite_polynomial(p, rep)
-    assert [U.period for U in calls] == periods
+    assert [(U.period, U.size) for U in calls] == periods
     assert poly == canonical_form(det_commutative(upsilon_matrix(
         build_fox_matrix(p, rep, PREC), n)))
 

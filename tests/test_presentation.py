@@ -24,7 +24,7 @@ from k1alex import (
 )
 from k1alex.grouprings import FiniteAbelianGroup, GroupAut, MetaRep
 
-from helpers import nielsen_inverse_sequence, rand_word
+from helpers import nielsen_inverse_sequence, rand_word, substitute_by_letters
 
 
 def test_parse_trefoil_text_matches_builtin():
@@ -118,6 +118,19 @@ def test_nielsen_multiply_inverse_sequence():
         for step in nielsen_inverse_sequence(mv):
             q = apply_nielsen(q, step)
         assert q == p
+
+
+def test_nielsen_move_on_a_long_conjugator():
+    """3_1 with its meridian conjugated by x1^(10^4), then x1 -> x2^-1 x1:
+    each syllable x1^(+-10^4) becomes one power of x2^-1 x1, and the moved
+    presentation equals the move applied letter by letter."""
+    p = conjugate_presentation(builtin("3_1"), gen(1, 10 ** 4))
+    move = NielsenMove("left-multiply", 1, 2)
+    q = apply_nielsen(p, move)
+    sub = move.inverse_substitution(p.rank)
+    assert q.y == tuple(substitute_by_letters(w, sub) for w in p.y)
+    assert q.z == tuple(substitute_by_letters(w, sub) for w in p.z)
+    assert max(len(w.letters) for w in q.y + q.z) > 10 ** 4
 
 
 def test_nielsen_transport_keeps_rep_valid():

@@ -9,6 +9,7 @@ from k1alex import (
     FiniteAbelianGroup,
     GroupAlgebraElem,
     GroupAut,
+    GroupError,
     LaurentPolyGA,
     NovikovMatrix,
     NovikovSeries,
@@ -271,20 +272,26 @@ def test_det_matches_subset_dp_oracle_on_bench_covers(name, n):
 
 def test_det_width_is_polynomial_on_trefoil_cover(monkeypatch):
     # Natural row order keeps each 12 x 12 cyclic block open across its rows
-    # and multiplies 535,858 minors by entries, each at least one Q[H]
-    # product; the greedy order makes 139 Q[H] products in all.
+    # and multiplies 535,858 minors by entries; the greedy order makes 137
+    # element sums (a frame times a term) and 41 translates (a frame made
+    # concrete) in all, and no Q[H] product, every cell being a monomial.
     p = builtin("3_1")
     U = upsilon_matrix(build_fox_matrix(p, metabelian_rep(p, 12), precision=4), 12)
-    calls = [0]
-    mul = GroupAlgebraElem.__mul__
+    work = {"plus": 0, "translate": 0, "mul": 0}
+    adder, translate, mul = upsilon._adder, upsilon.translate, GroupAlgebraElem.__mul__
 
-    def counting(a, b):
-        calls[0] += 1
-        return mul(a, b)
+    def counted(name, fn):
+        def wrapper(*args):
+            work[name] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(GroupAlgebraElem, "__mul__", counting)
+    monkeypatch.setattr(upsilon, "_adder", lambda divisors: counted("plus", adder(divisors)))
+    monkeypatch.setattr(upsilon, "translate", counted("translate", translate))
+    monkeypatch.setattr(GroupAlgebraElem, "__mul__", counted("mul", mul))
     assert not det_commutative(U).is_zero()
-    assert 0 < calls[0] <= 1000
+    assert 0 < work["plus"] + work["translate"] <= 1000
+    assert work["mul"] == 0
 
 
 # (divisors, kappa's matrix, periods): trivial, Z/5, (Z/2)^2, Z/3 x Z/21
@@ -311,7 +318,8 @@ def test_det_matches_subset_dp_oracle_on_seeded_upsilon(divisors, matrix, period
     empty = UpsilonMatrix([], H, 1)
     assert det_commutative(empty) == det_subset_dp_oracle(empty) == LaurentPolyGA.one(H)
     rng = random.Random(sum(divisors) * 31 + len(periods))
-    seen = {"den": 0, "two_terms": 0, "zero_line": 0, "nonzero": 0, "zero": 0}
+    seen = {"den": 0, "two_terms": 0, "many_terms": 0, "big_c": 0, "zero_line": 0,
+            "nonzero": 0, "zero": 0}
     for N in periods:
         for _ in range(12):
             n = rng.randint(1, max(1, 8 // N))
@@ -328,14 +336,71 @@ def test_det_matches_subset_dp_oracle_on_seeded_upsilon(divisors, matrix, period
             U = upsilon_matrix(NovikovMatrix(entries, genus=1), N)
             cells = [e for row in U.entries for e in row]
             seen["den"] += any(c.den > 1 for e in cells for c in e.terms.values())
+            seen["many_terms"] += any(sum(map(len, (c.nums for c in e.terms.values()))) > 2
+                                      for e in cells)
+            seen["big_c"] += any(abs(v) > 1 for e in cells for c in e.terms.values()
+                                 for v in c.nums.values())
             seen["two_terms"] += any(len(e.terms) == 2 for e in cells)
             seen["zero_line"] += (any(not any(row) for row in U.entries)
                                   or any(not any(col) for col in zip(*U.entries)))
             expected = det_subset_dp_oracle(U)
             assert det_commutative(U) == expected
             seen["zero" if expected.is_zero() else "nonzero"] += 1
-    assert seen["den"] and seen["zero_line"] and seen["nonzero"] and seen["zero"]
+    assert all(seen[k] for k in ("den", "big_c", "zero_line", "nonzero", "zero"))
+    assert bool(seen["many_terms"]) == (H.order > 1)  # Q[1] = Q has one term a degree
     assert bool(seen["two_terms"]) == (1 in periods)
+
+
+def _relation_like(rng, kappa, n):
+    """n x n matrix of tau^0 and tau^1 terms with rational, multi-term
+    coefficients; some entries zero."""
+    return NovikovMatrix([[NovikovSeries(kappa, {d: rand_ga(rng, kappa.group, denominators=True)
+                                                 for d in (0, 1) if rng.random() < 0.7}, 4)
+                           if rng.random() < 0.75 else NovikovSeries.zero(kappa, 4)
+                           for _ in range(n)] for _ in range(n)], genus=1)
+
+
+@pytest.mark.parametrize("name,periods", [("3_1", (4, 6, 8, 9, 10, 12)), ("5_2", (8, 9))])
+def test_norm_route_equals_det_upsilon_at_the_period(name, periods):
+    """det Upsilon at N is the norm of det Upsilon at ord kappa < N, exactly,
+    and metafinite_polynomial takes that route."""
+    p = builtin(name)
+    for N in periods:
+        rep = metabelian_rep(p, N)
+        mx = build_fox_matrix(p, rep, precision=4)
+        order = mx.kappa.order
+        assert order < N
+        direct = upsilon.det_upsilon(mx, N)
+        assert upsilon._norm(upsilon.det_upsilon(mx, order), order, N) == direct
+        assert metafinite_polynomial(p, rep) == canonical_form(direct)
+
+
+@pytest.mark.parametrize("divisors,matrix", [(d, m) for d, m, _ in _DP_GROUPS])
+def test_norm_route_matches_det_upsilon_on_seeded_matrices(divisors, matrix):
+    """The norm route against det Upsilon at 2 and 3 times ord kappa on
+    seeded relation-like matrices, whose determinants at ord kappa have
+    rational and multi-term coefficients; degrees of P off the multiples of
+    ord kappa, or a period off them, raise."""
+    H = FiniteAbelianGroup(divisors)
+    kappa = GroupAut(H, matrix)
+    order = kappa.order
+    rng = random.Random(sum(divisors) * 17 + order)
+    seen = {"den": 0, "many_terms": 0, "nonzero": 0}
+    for k in (2, 3):
+        for _ in range(6):
+            mx = _relation_like(rng, kappa, rng.randint(1, max(1, 12 // (k * order))))
+            P = upsilon.det_upsilon(mx, order)
+            assert upsilon._norm(P, order, k * order) == upsilon.det_upsilon(mx, k * order)
+            seen["den"] += any(c.den > 1 for c in P.terms.values())
+            seen["many_terms"] += any(len(c.nums) > 2 for c in P.terms.values())
+            seen["nonzero"] += not P.is_zero()
+    assert seen["den"] and seen["nonzero"]
+    assert bool(seen["many_terms"]) == (H.order > 1)
+    one = LaurentPolyGA.one(H)
+    with pytest.raises(GroupError, match="no norm"):
+        upsilon._norm(one, 2, 5)
+    with pytest.raises(GroupError, match="no norm"):
+        upsilon._norm(one + one.shift(1), 2, 4)
 
 
 @pytest.mark.parametrize("name,n", [("4_1", 5), ("s5_2", 4)])

@@ -17,7 +17,14 @@ from k1alex import (
 )
 from k1alex.words import IDENTITY, substitute
 
-from helpers import fox_derivative_oracle, fox_image_by_letters, rand_element, rand_word
+from helpers import (
+    fox_derivative_oracle,
+    fox_image_by_letters,
+    power_by_products,
+    rand_element,
+    rand_word,
+    substitute_by_letters,
+)
 
 x1, x2, x3 = gen(1), gen(2), gen(3)
 
@@ -65,6 +72,41 @@ def test_word_group_axioms_random():
         assert (a * b) * c == a * (b * c)
         assert a * a.inverse() == IDENTITY
         assert a.inverse().inverse() == a
+
+
+def _conjugates(rng):
+    """Seeded words, and conjugates u c u^-1 whose ends merge or cancel."""
+    for _ in range(60):
+        yield rand_word(rng, 3)
+        u, c = rand_word(rng, 3, 4), rand_word(rng, 3, 5)
+        yield u * c * u.inverse()
+        x = rng.randint(1, 3)
+        a, b = rng.choice((-3, -1, 1, 2)), rng.choice((-2, 1, 3))
+        yield u * gen(x, a) * c * gen(x, b) * u.inverse()
+    yield gen(2, 5)
+    yield IDENTITY
+
+
+def test_power_matches_repeated_products():
+    rng = random.Random(3)
+    for w in _conjugates(rng):
+        for n in (*range(-3, 4), -40, 40, rng.randint(-40, 40)):
+            assert w ** n == power_by_products(w, n)
+    # a conjugate of one syllable: its power is one syllable, at any n
+    e = 10 ** 20
+    assert (x2 * gen(1, 3) * x2.inverse()) ** e == x2 * gen(1, 3 * e) * x2.inverse()
+    assert (gen(1, 2) * x2 * x3 * gen(1, -1) * x3.inverse() * x2.inverse()
+            * gen(1, -2)) ** -e == gen(1, 2) * x2 * x3 * gen(1, e) * x3.inverse() \
+        * x2.inverse() * gen(1, -2)
+
+
+def test_substitute_matches_the_letter_by_letter_oracle():
+    rng = random.Random(4)
+    for _ in range(200):
+        images = {i: rand_word(rng, 3, 4) ** rng.randint(-3, 3)
+                  for i in rng.sample([1, 2, 3], rng.randint(0, 3))}
+        w = rand_word(rng, 3, 6) * gen(rng.randint(1, 3), rng.randint(-9, 9))
+        assert substitute(w, images) == substitute_by_letters(w, images)
 
 
 def _reps(rng):
